@@ -1,19 +1,19 @@
-"""Fused-gradient + flat-state HMC/NUTS throughput on hierarchical LR.
+"""Fused-gradient HMC/NUTS throughput on hierarchical LR.
 
-The baseline path (``fuse_gradient=False, flat_state=False``) runs each
-gradient-based sweep with separate compiled log-density and gradient
-calls over dict-of-arrays states; the standalone adjoint function
+Both legs integrate on the packed flat state vector.  The baseline leg
+(``fuse_gradient=False``) evaluates each point with separate compiled
+log-density and gradient calls; the standalone adjoint function
 re-derives the forward pass (the sigmoid of the linear predictor) for
-every partial.  The fused path (PR 4 defaults) emits one
+every partial.  The fused leg (the defaults) emits one
 ``ll_grad_<block>`` declaration whose CSE'd body evaluates the forward
-pass once per call, integrates on a packed flat state vector with
-in-place whole-vector leapfrog, and serves every NUTS leaf with a
-single compiled evaluation instead of three.
+pass once per call, so every NUTS leaf costs a single compiled
+evaluation.
 
-Results land in ``BENCH_hmc_gradient.json`` at the repository root.
+Results land in ``BENCH_hmc_gradient.json`` at the repository root,
+stamped with the host's CPU count and the Python and NumPy versions.
 Acceptance: the combined HMC+NUTS sweep time must improve by at least
-``MIN_SPEEDUP_COMBINED`` (the PR's >=2x throughput target), with
-per-schedule regression floors on HMC and NUTS individually.
+``MIN_SPEEDUP_COMBINED``, with per-schedule regression floors on HMC
+and NUTS individually.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
 import time
 
 import numpy as np
@@ -60,6 +61,24 @@ SCHEDULES = {
 }
 
 
+def _record(section: dict) -> None:
+    """Merge ``section`` into the results file (each test owns its own
+    keys) and stamp the host it was measured on."""
+    recorded = {}
+    if RESULTS_JSON.exists():
+        try:
+            recorded = json.loads(RESULTS_JSON.read_text())
+        except (json.JSONDecodeError, OSError):
+            recorded = {}
+    recorded.update(section)
+    recorded.update(
+        host_cpus=os.cpu_count(),
+        python=platform.python_version(),
+        numpy=np.__version__,
+    )
+    RESULTS_JSON.write_text(json.dumps(recorded, indent=2))
+
+
 def _per_sweep_seconds(hypers, observed, schedule, sweeps, **opts) -> float:
     options = CompileOptions(**opts) if opts else None
     sampler = compile_model(
@@ -82,8 +101,7 @@ def test_fused_gradient_speedup(report):
     results = {}
     for label, (schedule, sweeps) in SCHEDULES.items():
         base = _per_sweep_seconds(
-            hypers, observed, schedule, sweeps,
-            fuse_gradient=False, flat_state=False,
+            hypers, observed, schedule, sweeps, fuse_gradient=False
         )
         fused = _per_sweep_seconds(hypers, observed, schedule, sweeps)
         results[label] = {
@@ -98,7 +116,7 @@ def test_fused_gradient_speedup(report):
     combined = base_total / fused_total
 
     report(
-        f"Fused ll+grad / flat-state HMC & NUTS -- HLR n={N} d={D}",
+        f"Fused ll+grad HMC & NUTS -- HLR n={N} d={D}",
         format_table(
             ["schedule", "baseline s/sweep", "fused s/sweep", "speedup"],
             [
@@ -112,7 +130,7 @@ def test_fused_gradient_speedup(report):
         ),
     )
 
-    payload = {
+    _record({
         "n": N,
         "d": D,
         "schedules": results,
@@ -120,16 +138,7 @@ def test_fused_gradient_speedup(report):
         "min_speedup_combined": MIN_SPEEDUP_COMBINED,
         "min_speedup_hmc": MIN_SPEEDUP_HMC,
         "min_speedup_nuts": MIN_SPEEDUP_NUTS,
-    }
-    # Preserve the adaptive-warmup section the other test owns.
-    if RESULTS_JSON.exists():
-        try:
-            prior = json.loads(RESULTS_JSON.read_text())
-        except (json.JSONDecodeError, OSError):
-            prior = {}
-        if "adaptive" in prior:
-            payload["adaptive"] = prior["adaptive"]
-    RESULTS_JSON.write_text(json.dumps(payload, indent=2))
+    })
 
     assert combined >= MIN_SPEEDUP_COMBINED, (
         f"fused HMC+NUTS only {combined:.2f}x faster "
@@ -204,18 +213,12 @@ def test_adaptive_warmup_ess(report):
         ),
     )
 
-    # Merge into the recorded results instead of overwriting: the fused
-    # throughput test owns the rest of the file.
-    recorded = {}
-    if RESULTS_JSON.exists():
-        recorded = json.loads(RESULTS_JSON.read_text())
-    recorded["adaptive"] = {
+    _record({"adaptive": {
         "hand_tuned": hand,
         "adapted": adapted,
         "ess_fraction": fraction,
         "min_ess_fraction": MIN_ADAPTED_ESS_FRACTION,
-    }
-    RESULTS_JSON.write_text(json.dumps(recorded, indent=2))
+    }})
 
     assert fraction >= MIN_ADAPTED_ESS_FRACTION, (
         f"adapted NUTS reaches only {fraction:.2f}x of the hand-tuned "

@@ -8,37 +8,12 @@ import numpy as np
 
 from repro.baselines.stan.compilemodel import simulate_cpp_compile
 from repro.baselines.stan.model import StanModel, TapedPosterior
-from repro.runtime.mcmc.hmc import TransformedLogDensity
-from repro.runtime.mcmc.nuts import nuts_step
+from repro.core.lowmm.size_inference import PackPlan
+from repro.runtime.mcmc.adapt import DualAveraging
+from repro.runtime.mcmc.hmc import FlatLogDensity
+from repro.runtime.mcmc.nuts import nuts_step_flat
 from repro.runtime.rng import Rng
 from repro.runtime.transforms import IdentityTransform
-
-
-class _DualAveraging:
-    """Nesterov dual averaging of the log step size (Hoffman & Gelman)."""
-
-    def __init__(self, eps0: float, target: float = 0.8):
-        self.mu = np.log(10.0 * eps0)
-        self.target = target
-        self.log_eps = np.log(eps0)
-        self.log_eps_bar = 0.0
-        self.h_bar = 0.0
-        self.t = 0
-        self.gamma = 0.05
-        self.t0 = 10.0
-        self.kappa = 0.75
-
-    def update(self, accept_stat: float) -> float:
-        self.t += 1
-        eta = 1.0 / (self.t + self.t0)
-        self.h_bar = (1 - eta) * self.h_bar + eta * (self.target - accept_stat)
-        self.log_eps = self.mu - np.sqrt(self.t) / self.gamma * self.h_bar
-        w = self.t ** (-self.kappa)
-        self.log_eps_bar = w * self.log_eps + (1 - w) * self.log_eps_bar
-        return float(np.exp(self.log_eps))
-
-    def finalize(self) -> float:
-        return float(np.exp(self.log_eps_bar))
 
 
 class StanSampler:
@@ -51,13 +26,18 @@ class StanSampler:
         self.compile_seconds = (
             simulate_cpp_compile(model, data) if simulate_compile else 0.0
         )
-        # The driver-facing density: transforms already live on the tape.
-        identity = {p.name: IdentityTransform() for p in model.params}
-        self._target = TransformedLogDensity(
-            ll_fn=None, grad_fn=None, transforms=identity
+        # The driver-facing density on the packed parameter vector; the
+        # transforms already live on the tape, so the state is the
+        # unconstrained point itself.
+        self._layout = PackPlan.of(
+            (p.name, tuple(p.shape), None) for p in model.params
         )
-        self._target.logpdf = self.posterior.logpdf  # type: ignore[method-assign]
-        self._target.grad = self.posterior.grad  # type: ignore[method-assign]
+        self._target = FlatLogDensity(
+            lambda: self.posterior.logpdf(self._target.x_views),
+            lambda: self.posterior.grad(self._target.x_views),
+            {p.name: IdentityTransform() for p in model.params},
+            self._layout,
+        )
 
     def sample(
         self,
@@ -69,22 +49,24 @@ class StanSampler:
     ):
         """Returns (samples dict of constrained draws, wall seconds)."""
         rng = seed if isinstance(seed, Rng) else Rng(seed)
-        z = self.posterior.init_unconstrained(rng)
-        adapt = _DualAveraging(init_step_size)
+        z = self._layout.pack(self.posterior.init_unconstrained(rng))
+        adapt = DualAveraging()
+        adapt.restart(init_step_size)
         eps = init_step_size
         start = time.perf_counter()
         for _ in range(warmup):
-            z, _, accept_stat = nuts_step(rng, self._target, z, eps)
+            z, _, accept_stat = nuts_step_flat(rng, self._target, z, eps)
             eps = adapt.update(accept_stat)
-        eps = adapt.finalize()
+        eps = adapt.step_size_bar
         self.step_size = eps
 
         samples: dict[str, list] = {p.name: [] for p in self.model.params}
         for i in range(num_samples):
-            z, _, _ = nuts_step(rng, self._target, z, eps)
+            z, _, _ = nuts_step_flat(rng, self._target, z, eps)
+            zs = self._layout.unpack_views(z)
             for p in self.model.params:
                 samples[p.name].append(
-                    self.posterior.constrain_value(p.name, z[p.name])
+                    self.posterior.constrain_value(p.name, zs[p.name])
                 )
             if callback is not None:
                 callback(i, {k: v[-1] for k, v in samples.items()})

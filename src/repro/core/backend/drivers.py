@@ -30,26 +30,11 @@ import numpy as np
 from repro.core.density.conditionals import Conditional
 from repro.core.density.interp import eval_expr
 from repro.core.exprs import mentions
-from repro.core.lowmm.size_inference import BufferShape
+from repro.core.lowmm.size_inference import BufferShape, PackPlan
 from repro.runtime.distributions import lookup
 from repro.runtime.mcmc.adapt import find_reasonable_step_size
-from repro.runtime.mcmc.hmc import (
-    FlatLogDensity,
-    TransformedLogDensity,
-    flat_gaussian,
-    hmc_step,
-    hmc_step_flat,
-    leapfrog,
-)
-from repro.runtime.mcmc.nuts import nuts_step, nuts_step_flat
-from repro.runtime.mcmc.tree import (
-    TreeMetric,
-    tree_dot,
-    tree_empty_like,
-    tree_gaussian,
-    tree_ravel,
-    tree_split_flat,
-)
+from repro.runtime.mcmc.hmc import FlatLogDensity, flat_gaussian, hmc_step_flat
+from repro.runtime.mcmc.nuts import nuts_step_flat
 from repro.runtime.mcmc.mh import (
     random_walk_step,
     random_walk_sweep,
@@ -232,11 +217,11 @@ class GradBlockDriver(UpdateDriver):
         ll_fn,
         grad_fn,
         transforms: dict[str, Transform],
+        pack_plan: PackPlan,
         method: str = "hmc",
         step_size: float = 0.05,
         n_steps: int = 20,
         ll_grad_fn=None,
-        pack_plan=None,
     ):
         super().__init__()
         self.name = name
@@ -252,27 +237,16 @@ class GradBlockDriver(UpdateDriver):
         #: default warmup adaptation off for such schedules.
         self.user_step_size = False
         self._info: dict = {}
-        # Flat-state path: requires a dense pack plan and element-wise
-        # transforms (slice-wise application on the packed vector).
         self._pack_plan = pack_plan
-        self._use_flat = pack_plan is not None and all(
-            getattr(t, "elementwise", False) for t in transforms.values()
-        )
         self._flat: FlatLogDensity | None = None
         self._flat_scope: dict = {}
         self._flat_call = None  # (ws, rng) of the step in flight
         self._z_buf: np.ndarray | None = None
         self._flat_work = None
-        # Tree-path leapfrog work buffers (hoisted out of the per-call
-        # tree_copy), keyed by the block's shapes.
-        self._leap_work = None
-        self._leap_work_key = None
         # Warmup adaptation: attached per run by the sampler, detached
         # when the run finishes (the same driver instance is reused
         # across chains and warm-pool tasks).
         self._adapter = None
-        self._tree_metric = None
-        self._tree_metric_version = -1
 
     @property
     def label(self) -> str:
@@ -285,8 +259,7 @@ class GradBlockDriver(UpdateDriver):
 
     def _invalidate_fn_caches(self) -> None:
         # The cached FlatLogDensity closes over _ll_fn/_grad_fn/
-        # _ll_grad_fn; rebuild it so the flat path sees the (un)wrapped
-        # functions.
+        # _ll_grad_fn; rebuild it so it sees the (un)wrapped functions.
         self._flat = None
 
     def begin_sweep(self) -> None:
@@ -328,29 +301,9 @@ class GradBlockDriver(UpdateDriver):
         detached driver behaves exactly as before the run).
         """
         self._adapter = adapter
-        self._tree_metric = None
-        self._tree_metric_version = -1
 
     def detach_adapter(self) -> None:
         self._adapter = None
-        self._tree_metric = None
-        self._tree_metric_version = -1
-
-    def _adapter_tree_metric(self, z) -> TreeMetric | None:
-        """The adapter's flat metric split into per-leaf arrays, cached
-        until the adapter closes another window."""
-        adapter = self._adapter
-        if adapter is None or adapter.metric is None:
-            return None
-        if (
-            self._tree_metric is None
-            or self._tree_metric_version != adapter.metric_version
-        ):
-            self._tree_metric = TreeMetric(
-                tree_split_flat(adapter.metric.inv_mass, z)
-            )
-            self._tree_metric_version = adapter.metric_version
-        return self._tree_metric
 
     def _init_adapter_flat(self, flat, z, rng) -> None:
         """Reasonable-step-size initialization on the packed state.
@@ -380,40 +333,6 @@ class GradBlockDriver(UpdateDriver):
                 find_reasonable_step_size(log_accept, init=self.step_size)
             )
 
-    def _init_adapter_tree(self, target, z, rng) -> None:
-        """Tree-path twin of :meth:`_init_adapter_flat`."""
-        p = tree_gaussian(rng, z)
-        with np.errstate(invalid="ignore", over="ignore"):
-            h0 = -(target.logpdf(z) - 0.5 * tree_dot(p, p))
-
-            def log_accept(eps: float) -> float:
-                z1, p1 = leapfrog(target, z, p, eps, 1)
-                lp1 = target.logpdf(z1)
-                return h0 - (-(lp1 - 0.5 * tree_dot(p1, p1)))
-
-            self._adapter.initialize(
-                find_reasonable_step_size(log_accept, init=self.step_size)
-            )
-
-    def _target_density(self, env, ws, rng) -> TransformedLogDensity:
-        # One scope dict per step, shared by every ll/grad evaluation of
-        # the trajectory: the generated functions only read it, and the
-        # rest of the state cannot change mid-step, so the integrator's
-        # inner loop avoids re-copying the whole environment per call.
-        scope = dict(env)
-
-        def ll(x):
-            scope.update(x)
-            (val,) = self._ll_fn(scope, ws, rng)
-            return float(val)
-
-        def grad(x):
-            scope.update(x)
-            grads = self._grad_fn(scope, ws, rng)
-            return dict(zip(self.targets, grads))
-
-        return TransformedLogDensity(ll, grad, self._transforms)
-
     def _flat_density(self) -> FlatLogDensity:
         """The packed-vector density, built once; its compiled-call
         closures read the persistent scope and the step-in-flight
@@ -441,22 +360,11 @@ class GradBlockDriver(UpdateDriver):
         )
         return self._flat
 
-    def _tree_work(self, z):
-        """Preallocated leapfrog (position, momentum) tree buffers."""
-        key = tuple((k, np.shape(v)) for k, v in z.items())
-        if self._leap_work is None or self._leap_work_key != key:
-            self._leap_work = (tree_empty_like(z), tree_empty_like(z))
-            self._leap_work_key = key
-        return self._leap_work
-
     def step(self, env, ws, rng) -> None:
         self.stats.proposed += 1
         info = self._info
         info.clear()
-        if self._use_flat:
-            accepted, accept_stat = self._step_flat(env, ws, rng, info)
-        else:
-            accepted, accept_stat = self._step_tree(env, ws, rng, info)
+        accepted, accept_stat = self._step_flat(env, ws, rng, info)
         if info.get("nan"):
             self.stats.nan_rejected += 1
         if accepted:
@@ -469,41 +377,6 @@ class GradBlockDriver(UpdateDriver):
                 # NUTS has no accept/reject; report the dual-averaging
                 # accept statistic as the sweep's acceptance rate.
                 self._sweep["accepted"] = accept_stat
-
-    def _step_tree(self, env, ws, rng, info) -> tuple[bool, float]:
-        target = self._target_density(env, ws, rng)
-        x = {t: np.asarray(env[t], dtype=np.float64) for t in self.targets}
-        z = target.unconstrain(x)
-        adapter = self._adapter
-        if adapter is None:
-            eps, metric = self.step_size, None
-        else:
-            if not adapter.initialized:
-                self._init_adapter_tree(target, z, rng)
-            eps = adapter.step_size
-            metric = self._adapter_tree_metric(z)
-        info["step_size"] = eps
-        accept_stat = 0.0
-        if self._method == "nuts":
-            z_next, _, accept_stat = nuts_step(
-                rng, target, z, eps, info=info, metric=metric
-            )
-            accepted = any(
-                not np.array_equal(z_next[k], z[k]) for k in z
-            )
-        else:
-            z_next, accepted = hmc_step(
-                rng, target, z, eps, self.n_steps, info=info,
-                work=self._tree_work(z), metric=metric,
-            )
-        if adapter is not None and not adapter.finalized:
-            adapter.observe(info.get("accept_stat", 0.0), tree_ravel(z_next))
-        x_next = target.constrain(z_next)
-        for t in self.targets:
-            # Copy before committing: the constrained point may be a view
-            # of a reused trajectory buffer (identity transform).
-            env[t] = _shape_like(np.array(x_next[t], copy=True), env[t])
-        return accepted, accept_stat
 
     def _step_flat(self, env, ws, rng, info) -> tuple[bool, float]:
         flat = self._flat_density()
@@ -547,15 +420,15 @@ class GradBlockDriver(UpdateDriver):
             adapter.observe(info.get("accept_stat", 0.0), z_next)
         x_next = flat.constrain_point(z_next)
         for t in self.targets:
-            env[t] = _shape_like(np.array(x_next[t], copy=True), env[t])
+            env[t] = _committed(x_next[t])
         return accepted, accept_stat
 
 
-def _shape_like(value, like):
-    """Preserve scalar-ness of state entries."""
-    if np.ndim(like) == 0:
-        return float(np.asarray(value))
-    return np.asarray(value, dtype=np.float64)
+def _committed(view):
+    """A fresh copy of a constrained view; scalars become floats."""
+    if isinstance(view, RaggedArray) or view.ndim:
+        return view.copy()
+    return float(view)
 
 
 # ----------------------------------------------------------------------

@@ -772,10 +772,6 @@ def _make_driver(
             support = _support_of(t, plan, upd)
             transforms[t] = transform_for_support(support)
         ll_grad_name = names.get("ll_grad")
-        pack_plan = None
-        if options.flat_state and options.target == "cpu":
-            # None for ragged blocks -- the driver stays on the tree path.
-            pack_plan = build_pack_plan(plan, target_list)
         drv = GradBlockDriver(
             name=names["ll"],
             targets=target_list,
@@ -786,32 +782,11 @@ def _make_driver(
             step_size=float(upd.opt("step_size", options.hmc_step_size)),
             n_steps=int(upd.opt("steps", options.hmc_steps)),
             ll_grad_fn=bind(ll_grad_name) if ll_grad_name else None,
-            pack_plan=pack_plan,
+            pack_plan=build_pack_plan(plan, target_list),
         )
         drv.profile_fns = {"_ll_fn": names["ll"], "_grad_fn": names["grad"]}
         if ll_grad_name:
             drv.profile_fns["_ll_grad_fn"] = ll_grad_name
-        if drv._use_flat:
-            choice, why = "flat", (
-                f"the block packs into {pack_plan.total} contiguous slots "
-                "with element-wise transforms; leapfrog integrates on the "
-                "packed vector"
-            )
-        elif options.target != "cpu":
-            choice, why = "tree", "the flat-state leapfrog path is CPU-only"
-        elif not options.flat_state:
-            choice, why = "tree", "disabled by options (flat_state=False)"
-        elif pack_plan is None:
-            choice, why = "tree", (
-                "the block contains a ragged buffer, so no dense pack "
-                "plan exists"
-            )
-        else:
-            choice, why = "tree", (
-                "a non-element-wise transform in the block prevents "
-                "slice-wise application on the packed vector"
-            )
-        ledger.record("leapfrog.state", drv.label, choice, why, upd.provenance)
         drv.user_step_size = upd.opt("step_size", None) is not None
         if drv.user_step_size:
             a_choice, a_why = "fixed step size", (

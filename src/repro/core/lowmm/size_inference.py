@@ -251,12 +251,18 @@ def allocate(specs, env: dict) -> dict:
 
 @dataclass(frozen=True)
 class PackSlot:
-    """One block variable's slice of the packed 1-D state vector."""
+    """One block variable's slice of the packed 1-D state vector.
+
+    A ragged variable is one slot over its ``RaggedArray.flat`` buffer:
+    ``shape`` is the flat buffer's shape and ``offsets`` keeps the row
+    starts (``None`` for dense variables).
+    """
 
     name: str
     offset: int
     size: int
     shape: tuple[int, ...]
+    offsets: tuple[int, ...] | None = None
 
     @property
     def slice(self) -> slice:
@@ -271,41 +277,52 @@ class PackPlan:
     Built from the allocation plan's resolved shapes, so the layout is
     fixed for the sampler's lifetime; gradient-based updates integrate
     on the packed vector with whole-vector ops and unpack only at
-    compiled-function boundaries (via zero-copy reshaped views).
+    compiled-function boundaries (via zero-copy views).
     """
 
     slots: tuple[PackSlot, ...]
     total: int
 
+    @classmethod
+    def of(cls, entries) -> "PackPlan":
+        """Lay out ``(name, shape, offsets)`` entries contiguously, in order."""
+        slots: list[PackSlot] = []
+        offset = 0
+        for name, shape, offsets in entries:
+            size = int(np.prod(shape, dtype=np.int64))
+            slots.append(PackSlot(name, offset, size, tuple(shape), offsets))
+            offset += size
+        return cls(tuple(slots), offset)
+
     def pack(self, values: dict, out: np.ndarray | None = None) -> np.ndarray:
         """Concatenate per-variable values into the flat vector."""
         flat = np.empty(self.total, dtype=np.float64) if out is None else out
         for s in self.slots:
-            flat[s.slice] = np.asarray(values[s.name], dtype=np.float64).reshape(-1)
+            v = values[s.name].flat if s.offsets is not None else values[s.name]
+            flat[s.slice] = np.asarray(v, dtype=np.float64).reshape(-1)
         return flat
 
-    def unpack_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-variable *views* into ``flat`` (no copies), original shapes."""
-        return {s.name: flat[s.slice].reshape(s.shape) for s in self.slots}
+    def unpack_views(self, flat: np.ndarray) -> dict:
+        """Per-variable *views* into ``flat`` (no copies): arrays in their
+        original shapes, :class:`RaggedArray` for ragged slots."""
+        views = {}
+        for s in self.slots:
+            v = flat[s.slice].reshape(s.shape)
+            views[s.name] = v if s.offsets is None else RaggedArray(v, s.offsets)
+        return views
 
 
-def build_pack_plan(plan: AllocationPlan, names) -> PackPlan | None:
-    """The flat layout for the given state variables, in order.
-
-    Returns ``None`` when any variable is ragged (no contiguous dense
-    layout exists) -- callers then stay on the dict-of-arrays tree path.
-    """
-    slots: list[PackSlot] = []
-    offset = 0
+def build_pack_plan(plan: AllocationPlan, names) -> PackPlan:
+    """The flat layout for the given state variables, in order."""
+    entries = []
     for name in names:
-        shape_info = plan.state.get(name)
-        if shape_info is None or shape_info.is_ragged:
-            return None
-        shape = tuple(shape_info.lead) + tuple(shape_info.event)
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        slots.append(PackSlot(name, offset, size, shape))
-        offset += size
-    return PackPlan(tuple(slots), offset)
+        b = plan.state[name]
+        if b.is_ragged:
+            offsets = (0, *np.cumsum(b.row_lengths).tolist())
+            entries.append((name, (offsets[-1],) + b.event, offsets))
+        else:
+            entries.append((name, b.lead + b.event, None))
+    return PackPlan.of(entries)
 
 
 def build_plan(

@@ -43,11 +43,6 @@ class CompileOptions:
     #: (or when fusion is unsafe for a block) = the separate ``ll`` /
     #: ``grad`` pair only.
     fuse_gradient: bool = True
-    #: Run HMC/NUTS leapfrog on one packed contiguous 1-D state vector
-    #: (whole-vector in-place ops, constrained point cached between
-    #: value and gradient).  Off (or for ragged blocks) = the
-    #: dict-of-arrays tree path.
-    flat_state: bool = True
     #: Default HMC integrator settings (overridable per update via
     #: schedule options, e.g. ``HMC[steps=30, step_size=0.02] theta``).
     hmc_steps: int = 20

@@ -9,19 +9,5 @@ supported as library code").
 """
 
 from repro.runtime.mcmc.accept import mh_accept
-from repro.runtime.mcmc.tree import (
-    tree_add,
-    tree_axpy,
-    tree_copy,
-    tree_dot,
-    tree_scale,
-)
 
-__all__ = [
-    "mh_accept",
-    "tree_add",
-    "tree_axpy",
-    "tree_copy",
-    "tree_dot",
-    "tree_scale",
-]
+__all__ = ["mh_accept"]

@@ -12,11 +12,9 @@ Two estimators compose into a :class:`WarmupAdapter`:
   state; each window close snaps the metric to the regularized variance
   estimate and restarts dual averaging around the current step size.
 
-The adapter operates on the packed flat state vector produced by the
-PR-4 ``PackPlan``, so the metric is one contiguous array applied inside
-``hmc_step_flat`` / ``nuts_step_flat`` with near-zero overhead.  The
-tree fallback path splits the same flat estimate back into per-leaf
-arrays (see ``GradBlockDriver``).
+The adapter operates on the packed flat state vector laid out by the
+block's ``PackPlan``, so the metric is one contiguous array applied
+inside ``hmc_step_flat`` / ``nuts_step_flat`` with near-zero overhead.
 
 Everything here is deterministic given the RNG stream and fully
 picklable via ``state_dict()`` / ``load_state()`` so mid-warmup
@@ -263,9 +261,6 @@ class WarmupAdapter:
        snaps the metric on window close.
     3. ``finalize()`` at the end of warmup freezes
        ``step_size = step_size_bar`` and stops adaptation.
-
-    ``metric_version`` increments on every metric change so the tree
-    fallback path knows when to re-split the flat estimate.
     """
 
     def __init__(
@@ -283,7 +278,6 @@ class WarmupAdapter:
         self.step_size = None
         self.sweep = 0
         self.window_index = 0
-        self.metric_version = 0
         self.initialized = False
         self.finalized = False
 
@@ -309,7 +303,6 @@ class WarmupAdapter:
                     self.metric = DiagMetric(
                         self.welford.regularized_variance()
                     )
-                    self.metric_version += 1
                     self.welford = None
                     self.window_index += 1
                     self.da.restart(self.step_size)
@@ -348,7 +341,6 @@ class WarmupAdapter:
             "step_size": self.step_size,
             "sweep": self.sweep,
             "window_index": self.window_index,
-            "metric_version": self.metric_version,
             "initialized": self.initialized,
             "finalized": self.finalized,
             "n_windows": len(self.windows),
@@ -371,6 +363,5 @@ class WarmupAdapter:
         )
         self.sweep = int(state["sweep"])
         self.window_index = int(state["window_index"])
-        self.metric_version = int(state["metric_version"])
         self.initialized = bool(state["initialized"])
         self.finalized = bool(state["finalized"])

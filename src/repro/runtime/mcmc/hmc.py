@@ -8,18 +8,15 @@ change of variables).  This is the library half of the paper's HMC
 update; the Leapfrog integrator here corresponds to the ~30 lines of C
 the paper cites for adding HMC (Section 7.1).
 
-Two state representations coexist:
-
-- :class:`TransformedLogDensity` works on dict-of-arrays ``Tree``
-  points, one entry per block variable -- the general path, required
-  for ragged blocks and non-elementwise transforms.
-- :class:`FlatLogDensity` works on one packed contiguous 1-D vector
-  laid out by a compile-time :class:`~repro.core.lowmm.size_inference.PackPlan`;
-  leapfrog then reduces to whole-vector in-place axpy ops
-  (:func:`hmc_step_flat`), the constrained point and log-Jacobian are
-  computed once per distinct point and shared between value and
-  gradient, and a fused value+gradient compiled call (when available)
-  serves both in a single evaluation.
+The state is one packed contiguous 1-D vector laid out by a
+compile-time :class:`~repro.core.lowmm.size_inference.PackPlan` (a
+ragged variable is one slot over its flat buffer, the paper's Section
+6.2 representation).  :class:`FlatLogDensity` evaluates the block on
+that vector: leapfrog reduces to whole-vector in-place axpy ops
+(:func:`hmc_step_flat`), the constrained point and log-Jacobian are
+computed once per distinct point and shared between value and
+gradient, and a fused value+gradient compiled call (when available)
+serves both in a single evaluation.
 """
 
 from __future__ import annotations
@@ -27,128 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.mcmc.accept import mh_accept
-from repro.runtime.mcmc.tree import (
-    Tree,
-    tree_axpy_,
-    tree_copy,
-    tree_copy_into,
-    tree_dot,
-    tree_gaussian,
-    tree_metric_axpy_,
-    tree_metric_dot,
-    tree_metric_scale_,
-)
 from repro.runtime.transforms import Transform
-
-
-class TransformedLogDensity:
-    """log p and grad log p on the unconstrained space of a block."""
-
-    def __init__(self, ll_fn, grad_fn, transforms: dict[str, Transform]):
-        self._ll = ll_fn
-        self._grad = grad_fn
-        self.transforms = transforms
-        # The constrained point + summed log-Jacobian at the last
-        # unconstrained point seen: ``logpdf`` then ``grad`` at the same
-        # ``z`` (every trajectory endpoint) pays the transforms once.
-        self._cache_z: Tree | None = None
-        self._cache_x: Tree | None = None
-        self._cache_ljac: float = 0.0
-
-    def constrain(self, z: Tree) -> Tree:
-        return {
-            k: self.transforms[k].to_constrained(v) for k, v in z.items()
-        }
-
-    def unconstrain(self, x: Tree) -> Tree:
-        return {
-            k: np.array(self.transforms[k].to_unconstrained(v), dtype=np.float64)
-            for k, v in x.items()
-        }
-
-    def _constrained(self, z: Tree) -> tuple[Tree, float]:
-        """``(constrain(z), sum log-Jacobian)``, cached by content.
-
-        The cache key is a copy of ``z`` (identity alone is unsafe: the
-        in-place integrator mutates positions between calls).  NaN
-        positions never compare equal, so diverged points recompute --
-        which is the correct, conservative behaviour.
-        """
-        zc = self._cache_z
-        if (
-            zc is not None
-            and len(zc) == len(z)
-            and all(np.array_equal(zc[k], z[k]) for k in z)
-        ):
-            return self._cache_x, self._cache_ljac
-        x: Tree = {}
-        ljac = 0.0
-        for k, t in self.transforms.items():
-            x[k] = t.to_constrained(z[k])
-            ljac += float(np.sum(t.log_jacobian(z[k])))
-        self._cache_z = tree_copy(z)
-        self._cache_x = x
-        self._cache_ljac = ljac
-        return x, ljac
-
-    def logpdf(self, z: Tree) -> float:
-        x, ljac = self._constrained(z)
-        return float(self._ll(x)) + ljac
-
-    def grad(self, z: Tree) -> Tree:
-        x, _ = self._constrained(z)
-        gx = self._grad(x)
-        out: Tree = {}
-        # Diverged trajectories can produce inf/NaN here; the leapfrog
-        # step that consumes them is rejected by the acceptance test.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, t in self.transforms.items():
-                out[k] = np.asarray(
-                    gx[k], dtype=np.float64
-                ) * t.grad_constrained_wrt_z(z[k]) + t.grad_log_jacobian(z[k])
-        return out
-
-
-def leapfrog(
-    target: TransformedLogDensity,
-    z: Tree,
-    p: Tree,
-    step: float,
-    n: int,
-    work: tuple[Tree, Tree] | None = None,
-    metric=None,
-):
-    """Standard leapfrog integration; returns (z', p').
-
-    The inputs are never mutated: the trajectory runs on ``work`` (a
-    pair of preallocated position/momentum trees, reused across calls by
-    the driver) or on fresh copies when ``work`` is omitted.  Divergent
-    trajectories produce inf/NaN positions; arithmetic on them is left
-    to propagate (quietly) and the resulting state is rejected by the
-    acceptance test.  ``metric`` (a
-    :class:`~repro.runtime.mcmc.tree.TreeMetric`, or ``None`` for the
-    identity) scales the position drift by ``M^-1``; the ``None``
-    branch is the exact pre-adaptation code path.
-    """
-    if work is None:
-        z = tree_copy(z)
-        p = tree_copy(p)
-    else:
-        zb, pb = work
-        z = tree_copy_into(zb, z)
-        p = tree_copy_into(pb, p)
-    half = 0.5 * step
-    with np.errstate(invalid="ignore", over="ignore"):
-        grad = target.grad(z)
-        for _ in range(n):
-            tree_axpy_(p, grad, half)
-            if metric is None:
-                tree_axpy_(z, p, step)
-            else:
-                tree_metric_axpy_(z, p, metric.inv_mass, step)
-            grad = target.grad(z)
-            tree_axpy_(p, grad, half)
-    return z, p
 
 
 #: |Delta H| above which a trajectory is flagged divergent (matches the
@@ -177,67 +53,16 @@ def _fill_info(info: dict, log_alpha, energy1, n_leapfrog: int, accepted) -> Non
         info["accept_stat"] = float(np.exp(la))
 
 
-def hmc_step(
-    rng,
-    target: TransformedLogDensity,
-    z: Tree,
-    step_size: float,
-    n_steps: int,
-    info: dict | None = None,
-    work: tuple[Tree, Tree] | None = None,
-    metric=None,
-) -> tuple[Tree, bool]:
-    """One HMC transition; returns (next position, accepted?).
-
-    When ``info`` is supplied it is filled with the per-transition
-    telemetry record: ``log_alpha``, the ``nan`` flag (NaN-rejected
-    trajectory), the proposal's Hamiltonian ``energy``, a ``divergent``
-    flag (energy error beyond :data:`DIVERGENCE_THRESHOLD` or
-    non-finite), ``n_leapfrog``, and the dual-averaging ``accept_stat``.
-    ``work`` forwards preallocated trajectory buffers to
-    :func:`leapfrog`.  ``metric`` (``None`` = identity, the exact
-    pre-adaptation path) supplies the diagonal mass matrix; the
-    momentum is scaled *after* the standard-normal draw so the RNG
-    stream is identical with and without a metric.
-    """
-    p0 = tree_gaussian(rng, z)
-    if metric is not None:
-        tree_metric_scale_(p0, metric.momentum_scale)
-    lp0 = target.logpdf(z)
-    z1, p1 = leapfrog(target, z, p0, step_size, n_steps, work=work,
-                      metric=metric)
-    lp1 = target.logpdf(z1)
-    if metric is None:
-        kin0 = 0.5 * tree_dot(p0, p0)
-        kin1 = 0.5 * tree_dot(p1, p1)
-    else:
-        kin0 = 0.5 * tree_metric_dot(p0, metric.inv_mass)
-        kin1 = 0.5 * tree_metric_dot(p1, metric.inv_mass)
-    energy0 = -(lp0 - kin0)
-    energy1 = -(lp1 - kin1)
-    log_alpha = energy0 - energy1
-    accepted = mh_accept(rng, log_alpha)
-    if info is not None:
-        _fill_info(info, log_alpha, energy1, n_steps, accepted)
-    if accepted:
-        return z1, True
-    return z, False
-
-
-# ----------------------------------------------------------------------
-# Flat-state path: one packed 1-D vector, whole-vector leapfrog.
-# ----------------------------------------------------------------------
-
-
 class FlatLogDensity:
     """log p / grad log p on a packed 1-D unconstrained state vector.
 
     The compiled block functions read the *constrained* state; this
-    class owns one flat constrained buffer whose per-variable reshaped
-    views (:attr:`x_views`) the driver splices into the evaluation
-    scope once -- unpacking at the compiled-function boundary is then a
-    slice-wise transform into those views, with no dict or array
-    construction per call.
+    class owns one flat constrained buffer whose per-variable views
+    (:attr:`x_views`: reshaped arrays, or zero-copy
+    :class:`~repro.runtime.vectors.RaggedArray` views for ragged slots)
+    the driver splices into the evaluation scope once -- unpacking at
+    the compiled-function boundary is then a slice-wise transform into
+    those views, with no dict or array construction per call.
 
     Per distinct unconstrained point the transforms run once
     (``_ensure_point``), shared by value, gradient, and the fused
@@ -256,14 +81,21 @@ class FlatLogDensity:
         ll_grad_fn=None,
     ):
         self.layout = layout
-        self.transforms = transforms
         self._ll = ll_fn            # () -> float, reads the live views
         self._grad = grad_fn        # () -> {name: d ll / d constrained}
         self._ll_grad = ll_grad_fn  # () -> (float, {name: adjoint}) | None
         n = layout.total
         self._x = np.zeros(n, dtype=np.float64)
-        #: Per-variable reshaped views into the flat constrained buffer.
+        #: Per-variable views into the flat constrained buffer.
         self.x_views = layout.unpack_views(self._x)
+        # Per slot, fixed here: (name, slice, shape, transform, array
+        # view of the constrained buffer, ragged?).  Ragged values and
+        # adjoints are read through their ``.flat`` buffer.
+        self._slots = tuple(
+            (s.name, s.slice, s.shape, transforms[s.name],
+             self._x[s.slice].reshape(s.shape), s.offsets is not None)
+            for s in layout.slots
+        )
         self._z = np.full(n, np.nan)
         self._g = np.zeros(n, dtype=np.float64)
         self._ljac = 0.0
@@ -280,14 +112,14 @@ class FlatLogDensity:
 
     def unconstrain_into(self, env: dict, out: np.ndarray) -> np.ndarray:
         """Pack the environment's constrained values as a flat z vector."""
-        for s in self.layout.slots:
-            t = self.transforms[s.name]
-            out[s.slice] = np.asarray(
-                t.to_unconstrained(env[s.name]), dtype=np.float64
+        for name, sl, _, t, _, ragged in self._slots:
+            x = env[name].flat if ragged else env[name]
+            out[sl] = np.asarray(
+                t.to_unconstrained(x), dtype=np.float64
             ).reshape(-1)
         return out
 
-    def constrain_point(self, z: np.ndarray) -> dict[str, np.ndarray]:
+    def constrain_point(self, z: np.ndarray) -> dict:
         """The constrained views at ``z`` (refreshing the cache if needed)."""
         self._ensure_point(z)
         return self.x_views
@@ -296,11 +128,9 @@ class FlatLogDensity:
         if self._have_point and np.array_equal(z, self._z):
             return
         ljac = 0.0
-        for s in self.layout.slots:
-            t = self.transforms[s.name]
-            zi = z[s.slice]
-            xi = self.x_views[s.name]
-            xi[...] = t.to_constrained(zi.reshape(s.shape))
+        for _, sl, shape, t, xi, _ in self._slots:
+            zi = z[sl]
+            xi[...] = t.to_constrained(zi.reshape(shape))
             ljac += float(np.sum(t.log_jacobian(zi)))
         self._z[...] = z
         self._ljac = ljac
@@ -312,11 +142,11 @@ class FlatLogDensity:
         """Constrained-space adjoints -> flat unconstrained gradient."""
         g = self._g
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in self.layout.slots:
-                t = self.transforms[s.name]
-                zi = self._z[s.slice]
-                gi = np.asarray(gx[s.name], dtype=np.float64).reshape(-1)
-                g[s.slice] = (
+            for name, sl, _, t, _, ragged in self._slots:
+                zi = self._z[sl]
+                gi = gx[name].flat if ragged else gx[name]
+                gi = np.asarray(gi, dtype=np.float64).reshape(-1)
+                g[sl] = (
                     gi * np.asarray(t.grad_constrained_wrt_z(zi)).reshape(-1)
                     + np.asarray(t.grad_log_jacobian(zi)).reshape(-1)
                 )
@@ -368,9 +198,8 @@ class FlatLogDensity:
 def flat_gaussian(rng, layout, out: np.ndarray) -> np.ndarray:
     """Standard-normal momentum on the packed vector.
 
-    Draws slot by slot with the state's original shapes, consuming the
-    RNG stream exactly as :func:`~repro.runtime.mcmc.tree.tree_gaussian`
-    does on the tree path.
+    One ``standard_normal(shape)`` draw per slot, in layout order, so
+    the RNG stream consumed depends only on the pack plan.
     """
     for s in layout.slots:
         out[s.slice] = np.asarray(rng.standard_normal(s.shape)).reshape(-1)
@@ -390,9 +219,17 @@ def hmc_step_flat(
     """One HMC transition on the packed flat state; returns (z', accepted?).
 
     ``z`` is never mutated.  The whole trajectory runs in place on three
-    preallocated vectors (position, momentum, scratch): each leapfrog
-    step is two axpy updates, and the endpoints evaluate value and
-    gradient in one fused call.  Telemetry matches :func:`hmc_step`.
+    preallocated vectors (position, momentum, scratch; ``work``, reused
+    across calls by the driver): each leapfrog step is two axpy updates,
+    and the endpoints evaluate value and gradient in one fused call.
+    Divergent trajectories produce inf/NaN positions; arithmetic on them
+    propagates quietly and the acceptance test rejects the proposal.
+
+    When ``info`` is supplied it is filled with the per-transition
+    telemetry record: ``log_alpha``, the ``nan`` flag (NaN-rejected
+    trajectory), the proposal's Hamiltonian ``energy``, a ``divergent``
+    flag (energy error beyond :data:`DIVERGENCE_THRESHOLD` or
+    non-finite), ``n_leapfrog``, and the dual-averaging ``accept_stat``.
     ``metric`` (a :class:`~repro.runtime.mcmc.adapt.DiagMetric`, or
     ``None`` for the identity) is one contiguous array: the momentum is
     scaled after the standard-normal draw (same RNG stream either way)

@@ -1,178 +1,23 @@
 """No-U-Turn sampler (prototype, paper footnote 5).
 
 Implements the efficient NUTS of Hoffman & Gelman (2014, Algorithm 3)
-with multinomial-free slice sampling and a fixed maximum tree depth.
-Two interchangeable state representations:
-
-- the dict-of-arrays ``Tree`` path over
-  :class:`~repro.runtime.mcmc.hmc.TransformedLogDensity` (general case);
-- the packed flat-vector path over
-  :class:`~repro.runtime.mcmc.hmc.FlatLogDensity`
-  (:func:`nuts_step_flat`), which carries the gradient alongside each
-  tree endpoint so every leaf costs exactly one fused compiled
-  evaluation instead of three (gradient at the start point, gradient at
-  the new point, log density at the new point).
-
-Both consume the RNG stream identically (same draw sites, same order).
+with multinomial-free slice sampling and a fixed maximum tree depth,
+on the packed flat state of
+:class:`~repro.runtime.mcmc.hmc.FlatLogDensity` (:func:`nuts_step_flat`).
+Each tree endpoint carries its gradient alongside position and
+momentum, so every leaf costs exactly one fused compiled evaluation
+instead of three (gradient at the start point, gradient at the new
+point, log density at the new point).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.mcmc.hmc import FlatLogDensity, TransformedLogDensity, flat_gaussian
-from repro.runtime.mcmc.tree import (
-    Tree,
-    tree_axpy,
-    tree_axpy_,
-    tree_copy,
-    tree_dot,
-    tree_gaussian,
-    tree_metric_dot,
-    tree_metric_scale_,
-    tree_mul,
-)
+from repro.runtime.mcmc.hmc import FlatLogDensity, flat_gaussian
 
 _MAX_DEPTH = 8
 _DELTA_MAX = 1000.0
-
-
-def _leapfrog_one(target, z, p, eps, metric=None):
-    half = 0.5 * eps
-    grad = target.grad(z)
-    p = tree_axpy(p, grad, half)
-    if metric is None:
-        z = tree_axpy(z, p, eps)
-    else:
-        z = tree_axpy(z, tree_mul(metric.inv_mass, p), eps)
-    grad = target.grad(z)
-    # p and z are fresh trees here; finish the half-kick in place.
-    p = tree_axpy_(p, grad, half)
-    return z, p
-
-
-def _tree_kin(p: Tree, metric) -> float:
-    """Kinetic energy; the ``None`` branch matches the pre-metric code."""
-    if metric is None:
-        return 0.5 * tree_dot(p, p)
-    return 0.5 * tree_metric_dot(p, metric.inv_mass)
-
-
-def _no_uturn(z_minus, z_plus, p_minus, p_plus, metric=None) -> bool:
-    diff = {k: np.asarray(z_plus[k]) - np.asarray(z_minus[k]) for k in z_plus}
-    if metric is not None:
-        # The no-U-turn criterion compares against *velocities* M^-1 p.
-        p_minus = tree_mul(metric.inv_mass, p_minus)
-        p_plus = tree_mul(metric.inv_mass, p_plus)
-    return (
-        tree_dot(diff, p_minus) >= 0 and tree_dot(diff, p_plus) >= 0
-    )
-
-
-def nuts_step(
-    rng,
-    target: TransformedLogDensity,
-    z: Tree,
-    step_size: float,
-    info: dict | None = None,
-    metric=None,
-):
-    """One NUTS transition.
-
-    Returns ``(next position, n_leapfrog, accept_stat)`` where
-    ``accept_stat`` is the average Metropolis acceptance over the tree's
-    leaf states -- the statistic dual-averaging step-size adaptation
-    targets (Hoffman & Gelman 2014).
-
-    When ``info`` is supplied it is filled with the per-transition
-    telemetry record: ``tree_depth``, ``n_leapfrog``, ``accept_stat``,
-    the initial Hamiltonian ``energy``, and a ``divergent`` flag (a
-    leaf's energy error exceeded ``_DELTA_MAX``).  ``metric`` (a
-    :class:`~repro.runtime.mcmc.tree.TreeMetric`, ``None`` = identity)
-    scales momenta after the standard-normal draw so the RNG stream is
-    unchanged; the ``None`` branches are the exact pre-adaptation path.
-    """
-    p0 = tree_gaussian(rng, z)
-    if metric is not None:
-        tree_metric_scale_(p0, metric.momentum_scale)
-    joint0 = target.logpdf(z) - _tree_kin(p0, metric)
-    log_u = joint0 + np.log(rng.uniform())
-    divergent = False
-
-    z_minus = tree_copy(z)
-    z_plus = tree_copy(z)
-    p_minus = tree_copy(p0)
-    p_plus = tree_copy(p0)
-    z_sample = tree_copy(z)
-    n = 1
-    leapfrogs = 0
-    keep_going = True
-    alpha_sum = 0.0
-    n_alpha = 0
-
-    def build(zb, pb, direction, depth):
-        nonlocal leapfrogs, alpha_sum, n_alpha, divergent
-        if depth == 0:
-            z1, p1 = _leapfrog_one(
-                target, zb, pb, direction * step_size, metric=metric
-            )
-            leapfrogs += 1
-            joint = target.logpdf(z1) - _tree_kin(p1, metric)
-            # NaN energies (overflowed trajectories) count as zero
-            # acceptance -- min(0.0, nan) would silently yield 1.0 and
-            # feed dual averaging a perfect score for a divergence.
-            delta = joint - joint0
-            if not np.isnan(delta):
-                alpha_sum += float(min(1.0, np.exp(min(0.0, delta))))
-            n_alpha += 1
-            n1 = 1 if log_u <= joint else 0
-            s1 = log_u < joint + _DELTA_MAX
-            if not s1:
-                divergent = True
-            return z1, p1, z1, p1, z1, n1, s1
-        zm, pm, zp, pp, zs, n1, s1 = build(zb, pb, direction, depth - 1)
-        if s1:
-            if direction == -1:
-                zm, pm, _, _, zs2, n2, s2 = build(zm, pm, direction, depth - 1)
-            else:
-                _, _, zp, pp, zs2, n2, s2 = build(zp, pp, direction, depth - 1)
-            if n2 > 0 and rng.uniform() < n2 / max(1, n1 + n2):
-                zs = zs2
-            n1 += n2
-            s1 = s2 and _no_uturn(zm, zp, pm, pp, metric)
-        return zm, pm, zp, pp, zs, n1, s1
-
-    depth = 0
-    while keep_going and depth < _MAX_DEPTH:
-        direction = -1 if rng.uniform() < 0.5 else 1
-        if direction == -1:
-            z_minus, p_minus, _, _, z_prop, n_prime, s_prime = build(
-                z_minus, p_minus, direction, depth
-            )
-        else:
-            _, _, z_plus, p_plus, z_prop, n_prime, s_prime = build(
-                z_plus, p_plus, direction, depth
-            )
-        if s_prime and rng.uniform() < min(1.0, n_prime / n):
-            z_sample = z_prop
-        n += n_prime
-        keep_going = s_prime and _no_uturn(
-            z_minus, z_plus, p_minus, p_plus, metric
-        )
-        depth += 1
-    accept_stat = alpha_sum / n_alpha if n_alpha else 0.0
-    if info is not None:
-        info["tree_depth"] = depth
-        info["n_leapfrog"] = leapfrogs
-        info["accept_stat"] = accept_stat
-        info["energy"] = float(-joint0)
-        info["divergent"] = divergent
-    return z_sample, leapfrogs, accept_stat
-
-
-# ----------------------------------------------------------------------
-# Flat-state path.
-# ----------------------------------------------------------------------
 
 
 def _leapfrog_one_flat(target: FlatLogDensity, z, p, g, eps, scratch,
@@ -229,10 +74,18 @@ def nuts_step_flat(
 ):
     """One NUTS transition on the packed flat state.
 
-    Mirrors :func:`nuts_step` exactly (same recursion, same RNG draw
-    sites) with ``(position, momentum, gradient)`` vector triples as
-    tree endpoints, whole-vector leapfrog/no-U-turn arithmetic, and one
-    fused compiled evaluation per leaf.  ``z`` is never mutated.
+    Returns ``(next position, n_leapfrog, accept_stat)`` where
+    ``accept_stat`` is the average Metropolis acceptance over the tree's
+    leaf states -- the statistic dual-averaging step-size adaptation
+    targets (Hoffman & Gelman 2014).  Tree endpoints are
+    ``(position, momentum, gradient)`` vector triples; leapfrog and
+    no-U-turn arithmetic is whole-vector, with one fused compiled
+    evaluation per leaf.  ``z`` is never mutated.
+
+    When ``info`` is supplied it is filled with the per-transition
+    telemetry record: ``tree_depth``, ``n_leapfrog``, ``accept_stat``,
+    the initial Hamiltonian ``energy``, and a ``divergent`` flag (a
+    leaf's energy error exceeded ``_DELTA_MAX``).
     ``metric`` (a :class:`~repro.runtime.mcmc.adapt.DiagMetric`,
     ``None`` = identity) is one contiguous array applied in the momentum
     scale, drift, kinetic energy, and U-turn test; the momentum is

@@ -15,14 +15,13 @@ import numpy as np
 
 
 class Transform:
-    """A bijection between a constrained space and the real line."""
+    """A bijection between a constrained space and the real line.
+
+    Every transform acts element-wise and preserves size, so the packed
+    HMC state applies each one to its variable's slice.
+    """
 
     name: str
-
-    #: True when the map is element-wise and size-preserving, so a
-    #: packed flat state vector can apply it slice-by-slice.  The
-    #: stick-breaking transform changes dimensionality and stays False.
-    elementwise: bool = False
 
     def to_unconstrained(self, x):
         raise NotImplementedError
@@ -45,7 +44,6 @@ class Transform:
 
 class IdentityTransform(Transform):
     name = "identity"
-    elementwise = True
 
     def to_unconstrained(self, x):
         return np.asarray(x, dtype=np.float64)
@@ -67,7 +65,6 @@ class LogTransform(Transform):
     """Positive reals <-> reals via ``x = exp(z)``."""
 
     name = "log"
-    elementwise = True
 
     def to_unconstrained(self, x):
         return np.log(np.asarray(x, dtype=np.float64))
@@ -93,7 +90,6 @@ class LogitTransform(Transform):
     """Open unit interval <-> reals via ``x = sigmoid(z)``."""
 
     name = "logit"
-    elementwise = True
 
     def to_unconstrained(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -120,88 +116,7 @@ class LogitTransform(Transform):
         return s * (1.0 - s)
 
 
-class StickBreakingTransform(Transform):
-    """K-simplex <-> R^(K-1) via the stick-breaking construction.
-
-    Used when a gradient-based update is assigned to a Dirichlet
-    variable.  Follows the Stan reference construction.
-    """
-
-    name = "stick_breaking"
-
-    def __init__(self, k: int):
-        if k < 2:
-            raise ValueError("simplex dimension must be at least 2")
-        self.k = k
-
-    def to_unconstrained(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        k = self.k
-        remaining = 1.0 - np.concatenate(
-            [np.zeros(x.shape[:-1] + (1,)), np.cumsum(x[..., :-1], axis=-1)], axis=-1
-        )
-        frac = x[..., :-1] / remaining[..., :-1]
-        offsets = np.log(np.arange(k - 1, 0, -1, dtype=np.float64))
-        return np.log(frac) - np.log1p(-frac) + offsets
-
-    def to_constrained(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        k = self.k
-        offsets = np.log(np.arange(k - 1, 0, -1, dtype=np.float64))
-        frac = 1.0 / (1.0 + np.exp(-(z - offsets)))
-        out = np.empty(z.shape[:-1] + (k,))
-        remaining = np.ones(z.shape[:-1])
-        for i in range(k - 1):
-            out[..., i] = frac[..., i] * remaining
-            remaining = remaining - out[..., i]
-        out[..., -1] = remaining
-        return out
-
-    def log_jacobian(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        k = self.k
-        offsets = np.log(np.arange(k - 1, 0, -1, dtype=np.float64))
-        zc = z - offsets
-        log_frac = -np.logaddexp(0.0, -zc)
-        log_one_minus = -np.logaddexp(0.0, zc)
-        x = self.to_constrained(z)
-        remaining = 1.0 - np.concatenate(
-            [np.zeros(z.shape[:-1] + (1,)), np.cumsum(x[..., :-1], axis=-1)], axis=-1
-        )[..., :-1]
-        with np.errstate(divide="ignore"):
-            log_remaining = np.log(np.maximum(remaining, 1e-300))
-        return np.sum(log_frac + log_one_minus + log_remaining, axis=-1)
-
-    def grad_log_jacobian(self, z):
-        # The analytic form is unwieldy; central differences are exact
-        # enough for leapfrog integration and keep this module compact.
-        z = np.asarray(z, dtype=np.float64)
-        eps = 1e-6
-        grad = np.zeros_like(z)
-        for i in range(z.shape[-1]):
-            zp, zm = z.copy(), z.copy()
-            zp[..., i] += eps
-            zm[..., i] -= eps
-            grad[..., i] = (self.log_jacobian(zp) - self.log_jacobian(zm)) / (2 * eps)
-        return grad
-
-    def grad_constrained_wrt_z(self, z):
-        # Full Jacobian matrix d x / d z, shape (K, K-1).
-        z = np.asarray(z, dtype=np.float64)
-        eps = 1e-6
-        k = self.k
-        jac = np.zeros(z.shape[:-1] + (k, k - 1))
-        for i in range(k - 1):
-            zp, zm = z.copy(), z.copy()
-            zp[..., i] += eps
-            zm[..., i] -= eps
-            jac[..., :, i] = (self.to_constrained(zp) - self.to_constrained(zm)) / (
-                2 * eps
-            )
-        return jac
-
-
-def transform_for_support(support: str, dim: int | None = None) -> Transform:
+def transform_for_support(support: str) -> Transform:
     """Pick the unconstraining transform for a distribution support tag."""
     if support in ("real", "real_vec"):
         return IdentityTransform()
@@ -209,8 +124,4 @@ def transform_for_support(support: str, dim: int | None = None) -> Transform:
         return LogTransform()
     if support == "unit_interval":
         return LogitTransform()
-    if support == "simplex":
-        if dim is None:
-            raise ValueError("simplex transform requires the dimension")
-        return StickBreakingTransform(dim)
     raise ValueError(f"no unconstraining transform for support {support!r}")

@@ -3,9 +3,8 @@
 The compiler makes several silent, performance-critical decisions per
 model: which update kind each variable gets, whether an element update
 runs batched or scalar, whether HMC/NUTS gets the fused value+gradient
-declaration or the separate pair, whether leapfrog integrates on the
-packed flat state vector or the dict-of-arrays tree, whether a decl
-emitted whole-vector NumPy or fell back to Python loops, and whether
+declaration or the separate pair, whether a decl emitted
+whole-vector NumPy or fell back to Python loops, and whether
 the compile cache served the whole compilation.  Each of those now
 appends a structured :class:`Decision` -- ``(decision, subject, choice,
 reason, provenance)`` -- to a :class:`CompileLedger` instead of
@@ -31,8 +30,8 @@ class Decision:
     """One structured ledger entry.
 
     ``decision`` is the decision point (``kernel.update``,
-    ``batch.elements``, ``gradient.fusion``, ``leapfrog.state``,
-    ``emit.vectorize``, ``compile.cache``); ``subject`` is the update
+    ``batch.elements``, ``gradient.fusion``, ``emit.vectorize``,
+    ``compile.cache``); ``subject`` is the update
     label or declaration name it concerns; ``choice`` is what was
     picked; ``reason`` says why in a human-readable sentence.
     """

@@ -10,8 +10,8 @@ with measurement:
 1. **Enumerate** a bounded candidate set around the baseline schedule:
    per-block method alternatives (Gibbs vs. MH vs. Slice/ESlice where
    each validates), ``batch=off`` twins for element-wise updates,
-   HMC<->NUTS for the gradient block, and ``fuse_gradient`` /
-   ``flat_state`` compile-option variants.
+   HMC<->NUTS for the gradient block, and the ``fuse_gradient``
+   compile-option variant.
 2. **Trial** each candidate with a short probe round and, for the
    survivors, a longer trial round -- every trial on its own fresh
    :class:`~repro.runtime.rng.Rng` stream, so the caller's production
@@ -66,7 +66,7 @@ ELIMINATION_FACTOR = 3.0
 MIN_GAIN = 0.05
 
 #: CompileOptions fields the tuner is allowed to vary per candidate.
-_TUNABLE_OPTION_FIELDS = ("fuse_gradient", "flat_state")
+_TUNABLE_OPTION_FIELDS = ("fuse_gradient",)
 
 _ELEMENTWISE = (UpdateMethod.MH, UpdateMethod.SLICE, UpdateMethod.ESLICE)
 
@@ -198,10 +198,11 @@ def enumerate_candidates(
     """The bounded candidate set around a baseline schedule.
 
     One change per candidate: a single update's method, one update's
-    ``batch`` flag, the gradient block's method, or one gradient
-    compile option.  Returns ``(candidates, dropped)`` where
-    ``dropped`` counts eligible candidates cut by ``max_candidates``
-    (baseline always survives the cap and comes first).
+    ``batch`` flag, the gradient block's method, or the gradient
+    block's ``fuse_gradient`` option.  Returns ``(candidates, dropped)``
+    where ``dropped`` counts eligible candidates cut by
+    ``max_candidates`` (baseline always survives the cap and comes
+    first).
     """
     updates = flatten(baseline_kernel)
     baseline = Candidate(
@@ -243,10 +244,6 @@ def enumerate_candidates(
             if options.fuse_gradient:
                 add(f"{format_update(upd)} fuse_gradient=off",
                     compose(updates), options.replace(fuse_gradient=False),
-                    "grad-options")
-            if options.flat_state:
-                add(f"{format_update(upd)} flat_state=off",
-                    compose(updates), options.replace(flat_state=False),
                     "grad-options")
             continue
         if not upd.unit.is_single:

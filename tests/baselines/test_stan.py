@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.stan.compilemodel import simulate_cpp_compile
-from repro.baselines.stan.engine import StanSampler, _DualAveraging
+from repro.baselines.stan.engine import StanSampler
 from repro.baselines.stan.marginalize import (
     gmm_stan_data,
     hgmm_stan_data,
@@ -15,6 +15,7 @@ from repro.baselines.stan.marginalize import (
     marginalized_hgmm_model,
 )
 from repro.baselines.stan.model import TapedPosterior
+from repro.runtime.mcmc.adapt import DualAveraging
 
 
 def hlr_data(seed=0, n=120, d=3):
@@ -112,14 +113,18 @@ def test_marginalized_hgmm_logp_finite_and_differentiable():
 
 
 def test_dual_averaging_shrinks_step_on_rejections():
-    da = _DualAveraging(0.5)
+    # The warmup schedule StanSampler runs: restart at the initial step,
+    # then keep the averaged iterate.
+    da = DualAveraging()
+    da.restart(0.5)
     for _ in range(30):
         da.update(0.0)  # always rejecting
-    assert da.finalize() < 0.5
-    da2 = _DualAveraging(0.01)
+    assert da.step_size_bar < 0.5
+    da2 = DualAveraging()
+    da2.restart(0.01)
     for _ in range(30):
         da2.update(1.0)  # always accepting
-    assert da2.finalize() > 0.01
+    assert da2.step_size_bar > 0.01
 
 
 def test_compile_simulation_is_slower_than_augurv2():

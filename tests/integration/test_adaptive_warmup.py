@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import compile_model
-from repro.core.options import CompileOptions
 from repro.eval import models
 from repro.runtime.rng import Rng
 
@@ -213,24 +212,3 @@ def test_mid_warmup_checkpoint_resume_through_chains(nuts_sampler, executor):
     )
     for a, b in zip(full, finished):
         np.testing.assert_array_equal(a.array("mu"), b.array("mu"))
-
-
-# ----------------------------------------------------------------------
-# Tree fallback path.
-# ----------------------------------------------------------------------
-
-
-def test_tree_fallback_adapts_and_keeps_fixed_step_identity():
-    hypers, data = _nn_inputs()
-    tree = compile_model(
-        models.NORMAL_NORMAL, hypers, data, schedule="NUTS mu",
-        options=CompileOptions(flat_state=False),
-    )
-    adapted = tree.sample(num_samples=SAMPLES, seed=41, warmup=WARMUP)
-    (label,) = adapted.adapt_state.keys()
-    assert adapted.adapt_state[label]["step_size"] > 0
-    assert abs(float(np.mean(adapted.array("mu"))) - 2.0) < 0.6
-    # warmup=0 on the tree path is also the pre-adaptation sampler.
-    plain = tree.sample(num_samples=SAMPLES, seed=41)
-    zero = tree.sample(num_samples=SAMPLES, seed=41, warmup=0)
-    np.testing.assert_array_equal(plain.array("mu"), zero.array("mu"))

@@ -1,11 +1,10 @@
-"""Compiled fused-gradient / flat-state parity on a real model.
+"""Compiled fused-gradient parity on a real model.
 
 The acceptance contract for the fused codegen path: with the same seed,
 HMC and NUTS trajectories are *bitwise identical* with fusion on vs.
 off (both run the packed flat-state integrator; fusion only changes how
-many compiled calls produce the same numbers), and the legacy
-dict-of-arrays path agrees to floating-point summation order.  Sweep
-telemetry must not change shape or meaning under either option.
+many compiled calls produce the same numbers).  Sweep telemetry must
+not change shape or meaning under the option.
 """
 
 from __future__ import annotations
@@ -50,19 +49,6 @@ def test_fused_draws_bitwise_identical(hlr_inputs, schedule):
         )
 
 
-@pytest.mark.parametrize("schedule", [HMC_SCHED, NUTS_SCHED])
-def test_flat_state_matches_tree_path(hlr_inputs, schedule):
-    s_flat = _compile(hlr_inputs, schedule, fuse_gradient=False)
-    s_tree = _compile(hlr_inputs, schedule, fuse_gradient=False, flat_state=False)
-    r_flat = s_flat.sample(num_samples=12, seed=7)
-    r_tree = s_tree.sample(num_samples=12, seed=7)
-    for k in ("sigma2", "b", "theta"):
-        np.testing.assert_allclose(
-            r_flat.array(k), r_tree.array(k), rtol=1e-7, atol=1e-9,
-            err_msg=f"flat vs tree draws differ for {k} ({schedule})",
-        )
-
-
 def test_fused_decl_in_generated_source(hlr_inputs):
     s_fused = _compile(hlr_inputs, HMC_SCHED)
     s_plain = _compile(hlr_inputs, HMC_SCHED, fuse_gradient=False)
@@ -73,15 +59,15 @@ def test_fused_decl_in_generated_source(hlr_inputs):
 @pytest.mark.parametrize("schedule", [HMC_SCHED, NUTS_SCHED])
 def test_telemetry_unchanged_under_fusion(hlr_inputs, schedule):
     s_fused = _compile(hlr_inputs, schedule)
-    s_tree = _compile(hlr_inputs, schedule, fuse_gradient=False, flat_state=False)
+    s_plain = _compile(hlr_inputs, schedule, fuse_gradient=False)
     r_fused = s_fused.sample(num_samples=12, seed=7, collect_stats=True)
-    r_tree = s_tree.sample(num_samples=12, seed=7, collect_stats=True)
+    r_plain = s_plain.sample(num_samples=12, seed=7, collect_stats=True)
     st_fused = r_fused.stats.to_dict()
-    st_tree = r_tree.stats.to_dict()
-    assert st_fused.keys() == st_tree.keys()
+    st_plain = r_plain.stats.to_dict()
+    assert st_fused.keys() == st_plain.keys()
     for k in st_fused:
         np.testing.assert_allclose(
-            st_fused[k], st_tree[k], rtol=1e-7, atol=1e-9, equal_nan=True,
+            st_fused[k], st_plain[k], rtol=1e-7, atol=1e-9, equal_nan=True,
             err_msg=f"stat {k} changed under the fused path",
         )
 

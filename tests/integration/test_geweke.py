@@ -80,9 +80,15 @@ def test_geweke_gmm_composed_kernel():
     assert res.max_abs_z() < Z_LIMIT, f"\n{res}"
 
 
-def test_geweke_hmc_exp_normal():
-    # Gradient-based update with a log transform: the acceptance ratio
-    # and Jacobian terms must both be right for this to pass.
+@pytest.mark.parametrize(
+    "schedule",
+    ["HMC[steps=10, step_size=0.2] v", "NUTS[step_size=0.2] v"],
+    ids=["hmc", "nuts"],
+)
+def test_geweke_hmc_exp_normal(schedule):
+    # Gradient-based updates with a log transform: the acceptance ratio
+    # (or NUTS tree sampling) and the Jacobian terms must all be right
+    # for this to pass.
     res = geweke_test(
         models.EXP_NORMAL,
         {"N": 4, "lam": 1.5},
@@ -94,7 +100,7 @@ def test_geweke_hmc_exp_normal():
         },
         n_marginal=2500,
         n_successive=4000,
-        schedule="HMC[steps=10, step_size=0.2] v",
+        schedule=schedule,
         seed=3,
     )
     assert res.max_abs_z() < Z_LIMIT, f"\n{res}"

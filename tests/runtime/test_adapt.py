@@ -211,9 +211,16 @@ def test_adapter_closes_windows_and_versions_metric():
     rng = np.random.default_rng(5).normal(size=(16, 4))
     windows = adapter.windows
     assert windows  # the geometry must produce at least one window
-    _drive(adapter, rng, warmup)
+    metrics = []
+    for s in range(warmup):
+        adapter.observe(0.7 + 0.2 * math.sin(s), rng[s % len(rng)])
+        if adapter.metric is not None and (
+            not metrics or adapter.metric is not metrics[-1]
+        ):
+            metrics.append(adapter.metric)
     assert adapter.window_index == len(windows)
-    assert adapter.metric_version == len(windows)
+    # One new metric per closed window.
+    assert len(metrics) == len(windows)
     assert adapter.metric is not None
     assert adapter.metric.inv_mass.shape == (4,)
     np.testing.assert_allclose(

@@ -1,9 +1,10 @@
-"""Flat-state HMC: pack plans, momentum parity, and integrator parity.
+"""Flat-state HMC: pack plans, momentum draws, density and integrator.
 
-The packed path must be a pure representation change: same RNG stream
-consumption as the tree path, bitwise pack/unpack round trips, and
-trajectories that agree with the dict-of-arrays integrator up to
-floating-point summation order in the kinetic-energy dot products.
+The packed vector is the only HMC/NUTS state, so every check here is
+against an independent reference: bitwise pack/unpack round trips, one
+plain NumPy draw per slot, the analytic density plus its log-Jacobian,
+central finite differences, and the closed-form leapfrog map of a
+diagonal Gaussian.
 """
 
 from __future__ import annotations
@@ -12,25 +13,22 @@ import numpy as np
 import pytest
 
 from repro.core.lowmm.size_inference import (
+    AllocationPlan,
+    BufferShape,
     PackPlan,
     PackSlot,
     build_pack_plan,
     build_plan,
 )
-from repro.runtime.mcmc.hmc import (
-    FlatLogDensity,
-    TransformedLogDensity,
-    flat_gaussian,
-    hmc_step,
-    hmc_step_flat,
-)
-from repro.runtime.mcmc.tree import tree_gaussian
+from repro.runtime.mcmc.accept import mh_accept
+from repro.runtime.mcmc.hmc import FlatLogDensity, flat_gaussian, hmc_step_flat
 from repro.runtime.rng import Rng
 from repro.runtime.transforms import (
     IdentityTransform,
     LogTransform,
     LogitTransform,
 )
+from repro.runtime.vectors import RaggedArray
 
 from tests.lowpp.conftest import make_setup
 
@@ -51,7 +49,6 @@ def _hlr_plan():
 def test_build_pack_plan_hlr_layout():
     plan = _hlr_plan()
     pp = build_pack_plan(plan, ("sigma2", "b", "theta"))
-    assert pp is not None
     assert [s.name for s in pp.slots] == ["sigma2", "b", "theta"]
     assert [s.shape for s in pp.slots] == [(), (), (3,)]
     assert [s.size for s in pp.slots] == [1, 1, 3]
@@ -82,22 +79,47 @@ def test_pack_unpack_bitwise_round_trip():
     np.testing.assert_array_equal(flat[pp.slots[-1].slice], 42.0)
 
 
-def test_build_pack_plan_rejects_ragged():
-    fd, info = make_setup("lda")
-    from repro.runtime.vectors import RaggedArray
+def test_build_pack_plan_ragged_round_trip():
+    lengths = np.array([5, 2, 6])
+    plan = AllocationPlan(state={
+        "mu": BufferShape("mu", (2,), None, (), "f8"),
+        "t": BufferShape("t", (3,), lengths, (), "f8"),
+        "w": BufferShape("w", (3,), lengths, (2,), "f8"),
+    })
+    pp = build_pack_plan(plan, ("mu", "t", "w"))
+    # A ragged variable is one slot over its flat buffer; the row
+    # offsets ride on the slot.
+    assert [s.shape for s in pp.slots] == [(2,), (13,), (13, 2)]
+    assert [s.offset for s in pp.slots] == [0, 2, 15]
+    assert pp.total == 41
+    assert pp.slots[0].offsets is None
+    for s in pp.slots[1:]:
+        np.testing.assert_array_equal(s.offsets, [0, 5, 7, 13])
 
-    env = {
-        "K": 4, "D": 3, "V": 7, "N": np.array([5, 2, 6]),
-        "alpha": np.ones(4), "beta": np.ones(7),
-        "w": RaggedArray.full([5, 2, 6], 0, dtype=np.int64),
+    rng = np.random.default_rng(3)
+    values = {
+        "mu": rng.normal(size=2),
+        "t": RaggedArray.from_rows([rng.normal(size=k) for k in lengths]),
+        "w": RaggedArray.from_rows([rng.normal(size=(k, 2)) for k in lengths]),
     }
-    plan = build_plan(info, env, ())
-    assert build_pack_plan(plan, ("z",)) is None  # ragged
-    assert build_pack_plan(plan, ("theta", "missing")) is None
+    flat = pp.pack(values)
+    views = pp.unpack_views(flat)
+    for name in ("t", "w"):
+        v = views[name]
+        assert isinstance(v, RaggedArray)
+        np.testing.assert_array_equal(v.offsets, values[name].offsets)
+        np.testing.assert_array_equal(v.flat, values[name].flat)
+        # Zero-copy: the view's flat buffer is the packed vector.
+        assert np.shares_memory(v.flat, flat)
+    np.testing.assert_array_equal(views["mu"], values["mu"])
+    np.testing.assert_array_equal(pp.pack(views), flat)
+    # Writes through a row of the view land in the packed vector.
+    views["t"].row(1)[...] = 42.0
+    np.testing.assert_array_equal(flat[2 + 5 : 2 + 7], 42.0)
 
 
 # ----------------------------------------------------------------------
-# Momentum draws consume the RNG stream identically on both paths.
+# Momentum draws: one standard-normal call per slot, in layout order.
 # ----------------------------------------------------------------------
 
 
@@ -110,18 +132,21 @@ def _toy_layout():
     return PackPlan(slots=slots, total=6)
 
 
-def test_flat_gaussian_matches_tree_gaussian():
+def test_flat_gaussian_draws_once_per_slot():
     layout = _toy_layout()
-    z_tree = {"a": np.float64(0.0), "b": np.zeros(3), "c": np.zeros(2)}
-    p_tree = tree_gaussian(Rng(11).generator, z_tree)
     out = np.empty(6)
     flat_gaussian(Rng(11).generator, layout, out)
-    np.testing.assert_array_equal(out, layout.pack(p_tree))
+    g = Rng(11).generator
+    expected = [g.standard_normal(()), g.standard_normal((3,)),
+                g.standard_normal((2,))]
+    np.testing.assert_array_equal(
+        out, np.concatenate([np.ravel(e) for e in expected])
+    )
 
 
 # ----------------------------------------------------------------------
-# Integrator parity on an analytic target with all three elementwise
-# transform kinds (identity / log / logit).
+# The density on an analytic target with all three transform kinds
+# (identity / log / logit).
 # ----------------------------------------------------------------------
 
 _TRANSFORMS = {
@@ -174,17 +199,39 @@ def _start_state():
     return {"a": 0.9, "b": np.array([0.3, -0.2, 1.1]), "c": np.array([0.4, 0.7])}
 
 
-def test_flat_value_and_grad_match_tree():
-    tree_target = TransformedLogDensity(_ll, _grad, _TRANSFORMS)
-    fld, layout = _make_flat()
-    x0 = _start_state()
-    z_tree = tree_target.unconstrain(x0)
-    z_flat = fld.unconstrain_into(x0, np.empty(layout.total))
-    np.testing.assert_allclose(z_flat, layout.pack(z_tree))
-    assert fld.value(z_flat) == pytest.approx(tree_target.logpdf(z_tree))
-    np.testing.assert_allclose(
-        fld.grad(z_flat), layout.pack(tree_target.grad(z_tree))
+def _analytic(z):
+    """Log density and gradient on the unconstrained space, by hand:
+    ``a = exp(za)`` (log-Jacobian ``za``), ``b`` unconstrained,
+    ``c = sigmoid(zc)`` (log-Jacobian ``log c + log(1 - c)``)."""
+    za, zb, zc = z[0], z[1:4], z[4:6]
+    c = 1.0 / (1.0 + np.exp(-zc))
+    lp = (
+        2.0 * za - np.exp(za)
+        - 0.5 * np.sum(zb * zb)
+        + 2.0 * np.sum(np.log(c) + np.log1p(-c))
     )
+    grad = np.concatenate([[2.0 - np.exp(za)], -zb, 2.0 - 4.0 * c])
+    return lp, grad
+
+
+def test_flat_value_and_grad_match_analytic():
+    fld, layout = _make_flat()
+    z = fld.unconstrain_into(_start_state(), np.empty(layout.total))
+    np.testing.assert_allclose(
+        z, [np.log(0.9), 0.3, -0.2, 1.1, np.log(0.4 / 0.6), np.log(0.7 / 0.3)],
+        rtol=1e-12,
+    )
+    lp, grad = _analytic(z)
+    assert fld.value(z) == pytest.approx(lp, rel=1e-12)
+    g = fld.grad(z).copy()
+    np.testing.assert_allclose(g, grad, rtol=1e-12)
+    # Central finite differences of the density itself.
+    eps = 1e-6
+    fd = [
+        (fld.value(z + eps * e) - fld.value(z - eps * e)) / (2 * eps)
+        for e in np.eye(layout.total)
+    ]
+    np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_value_and_grad_fused_matches_pair():
@@ -211,27 +258,76 @@ def test_value_and_grad_fused_matches_pair():
     np.testing.assert_array_equal(g_f, g_p)
 
 
-def test_hmc_step_flat_matches_tree_step():
-    tree_target = TransformedLogDensity(_ll, _grad, _TRANSFORMS)
-    fld, layout = _make_flat()
-    x0 = _start_state()
-    z_tree = tree_target.unconstrain(x0)
-    z_flat = fld.unconstrain_into(x0, np.empty(layout.total))
+# ----------------------------------------------------------------------
+# The integrator against the closed-form leapfrog map of a Gaussian.
+# ----------------------------------------------------------------------
 
-    for seed in range(6):
-        info_t, info_f = {}, {}
-        zt, acc_t = hmc_step(
-            Rng(seed).generator, tree_target, z_tree, 0.05, 8, info=info_t
+_MU = np.array([0.5, -1.0, 2.0, 0.0, 1.5, -0.5])
+_S2 = np.array([1.0, 0.5, 2.0, 1.5, 0.8, 3.0])
+
+
+def _gaussian_flat():
+    """N(_MU, diag(_S2)) over the toy layout, identity transforms."""
+    layout = _toy_layout()
+
+    def x():
+        return layout.pack(fld.x_views)
+
+    fld = FlatLogDensity(
+        lambda: float(-0.5 * np.sum((x() - _MU) ** 2 / _S2)),
+        lambda: layout.unpack_views(-(x() - _MU) / _S2),
+        {k: IdentityTransform() for k in "abc"},
+        layout,
+    )
+    return fld
+
+
+def _leapfrog_closed_form(x, p, h, n):
+    """``n`` leapfrog steps on N(_MU, diag(_S2)).  Per coordinate, with
+    precision ``w``, one step is the linear map of ``(x - mu, p)`` by
+    ``[[1 - h^2 w / 2, h], [-h w (1 - h^2 w / 4), 1 - h^2 w / 2]]``."""
+    w = 1.0 / _S2
+    a = 1.0 - 0.5 * h * h * w
+    c = -h * w * (1.0 - 0.25 * h * h * w)
+    d = x - _MU
+    for _ in range(n):
+        d, p = a * d + h * p, c * d + a * p
+    return _MU + d, p
+
+
+def _energy(x, p):
+    return float(0.5 * np.sum((x - _MU) ** 2 / _S2) + 0.5 * p @ p)
+
+
+def test_hmc_step_flat_matches_closed_form_leapfrog():
+    fld = _gaussian_flat()
+    z = np.array([0.9, 0.3, -0.2, 1.1, 0.4, 0.7])
+    step, n = 0.9, 8
+    outcomes = set()
+    for seed in range(12):
+        ref = Rng(seed).generator
+        p0 = np.concatenate([
+            np.ravel(ref.standard_normal(())), ref.standard_normal((3,)),
+            ref.standard_normal((2,)),
+        ])
+        x1, p1 = _leapfrog_closed_form(z, p0, step, n)
+        log_alpha = _energy(z, p0) - _energy(x1, p1)
+        accept = mh_accept(ref, log_alpha)
+
+        info = {}
+        work = tuple(np.empty(6) for _ in range(3))
+        got, accepted = hmc_step_flat(
+            Rng(seed).generator, fld, z, step, n, info=info, work=work
         )
-        zf, acc_f = hmc_step_flat(
-            Rng(seed).generator, fld, z_flat, 0.05, 8, info=info_f
-        )
-        fld.invalidate()
-        assert acc_t == acc_f
-        np.testing.assert_allclose(zf, layout.pack(zt), rtol=1e-12, atol=1e-12)
-        assert info_f["log_alpha"] == pytest.approx(info_t["log_alpha"])
-        assert info_f["n_leapfrog"] == info_t["n_leapfrog"]
-        assert info_f["divergent"] == info_t["divergent"]
+        np.testing.assert_allclose(work[0], x1, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(work[1], p1, rtol=1e-10, atol=1e-12)
+        assert info["log_alpha"] == pytest.approx(log_alpha, rel=1e-9, abs=1e-12)
+        assert info["n_leapfrog"] == n
+        assert accepted == accept
+        np.testing.assert_array_equal(got, work[0] if accept else z)
+        outcomes.add(accepted)
+    # The seeds exercise both the accept and the reject branch.
+    assert outcomes == {True, False}
 
 
 def test_hmc_step_flat_never_mutates_input():

@@ -5,61 +5,59 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.lowmm.size_inference import PackPlan
 from repro.runtime.mcmc.accept import mh_accept
-from repro.runtime.mcmc.hmc import TransformedLogDensity, hmc_step, leapfrog
+from repro.runtime.mcmc.hmc import FlatLogDensity, hmc_step_flat
 from repro.runtime.mcmc.mh import random_walk_step, user_proposal_step
-from repro.runtime.mcmc.nuts import nuts_step
+from repro.runtime.mcmc.nuts import nuts_step_flat
 from repro.runtime.mcmc.slice_sampler import elliptical_slice, slice_coordinate
-from repro.runtime.mcmc.tree import (
-    tree_axpy,
-    tree_copy,
-    tree_dot,
-    tree_gaussian,
-    tree_scale,
-)
 from repro.runtime.rng import Rng
 from repro.runtime.transforms import IdentityTransform, LogTransform
 
 
+def flat_target(ll, grad, shape=(), transform=None):
+    """A one-variable ``x`` density on the packed state; ``ll`` and
+    ``grad`` take the constrained value."""
+    target = FlatLogDensity(
+        lambda: ll(target.x_views["x"]),
+        lambda: {"x": grad(target.x_views["x"])},
+        {"x": transform or IdentityTransform()},
+        PackPlan.of([("x", shape, None)]),
+    )
+    return target
+
+
 def gaussian_target(mean, var):
-    """A diagonal Gaussian as a TransformedLogDensity over one variable."""
+    """A diagonal Gaussian over one vector variable."""
     mean = np.asarray(mean, dtype=np.float64)
     var = np.asarray(var, dtype=np.float64)
-
-    def ll(x):
-        v = np.asarray(x["x"])
-        return float(np.sum(-0.5 * (v - mean) ** 2 / var))
-
-    def grad(x):
-        v = np.asarray(x["x"])
-        return {"x": -(v - mean) / var}
-
-    return TransformedLogDensity(ll, grad, {"x": IdentityTransform()})
+    return flat_target(
+        lambda v: float(np.sum(-0.5 * (v - mean) ** 2 / var)),
+        lambda v: -(v - mean) / var,
+        shape=mean.shape,
+    )
 
 
-# ----------------------------------------------------------------------
-# Trees.
-# ----------------------------------------------------------------------
+class ScriptedMomentum:
+    """Stands in for the RNG: the momentum draw returns ``p`` and every
+    uniform is 0.5, so one HMC transition is a plain leapfrog run."""
+
+    def __init__(self, p):
+        self.p = np.asarray(p, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        return self.p.reshape(shape)
+
+    def uniform(self):
+        return 0.5
 
 
-def test_tree_arithmetic():
-    a = {"u": np.array([1.0, 2.0]), "v": np.array(3.0)}
-    b = {"u": np.array([0.5, -1.0]), "v": np.array(2.0)}
-    assert tree_dot(a, b) == pytest.approx(1 * 0.5 - 2 + 6)
-    s = tree_scale(a, 2.0)
-    np.testing.assert_array_equal(s["u"], [2.0, 4.0])
-    ax = tree_axpy(a, b, 2.0)
-    np.testing.assert_array_equal(ax["u"], [2.0, 0.0])
-    c = tree_copy(a)
-    c["u"][0] = 99.0
-    assert a["u"][0] == 1.0
-
-
-def test_tree_gaussian_shapes(rng):
-    like = {"u": np.zeros((3, 2)), "v": np.array(0.0)}
-    g = tree_gaussian(rng, like)
-    assert g["u"].shape == (3, 2)
-    assert np.shape(g["v"]) == ()
+def leapfrog(target, z, p, step, n):
+    """``n`` leapfrog steps from ``(z, p)`` through :func:`hmc_step_flat`,
+    read back from its trajectory buffers; returns ``(z', p')``."""
+    work = tuple(np.empty(z.shape[0]) for _ in range(3))
+    hmc_step_flat(ScriptedMomentum(p), target, z, step, n, work=work)
+    return work[0].copy(), work[1].copy()
 
 
 # ----------------------------------------------------------------------
@@ -83,34 +81,34 @@ def test_mh_accept_edge_cases(rng):
 def test_leapfrog_is_reversible():
     target = gaussian_target(np.zeros(3), np.ones(3))
     rng = Rng(0)
-    z = {"x": rng.normal(size=3)}
-    p = {"x": rng.normal(size=3)}
+    z = rng.normal(size=3)
+    p = rng.normal(size=3)
     z1, p1 = leapfrog(target, z, p, 0.1, 10)
     # Negate momentum and integrate back.
-    z2, p2 = leapfrog(target, z1, tree_scale(p1, -1.0), 0.1, 10)
-    np.testing.assert_allclose(z2["x"], z["x"], atol=1e-10)
-    np.testing.assert_allclose(p2["x"], -p["x"], atol=1e-10)
+    z2, p2 = leapfrog(target, z1, -p1, 0.1, 10)
+    np.testing.assert_allclose(z2, z, atol=1e-10)
+    np.testing.assert_allclose(p2, -p, atol=1e-10)
 
 
 def test_leapfrog_conserves_energy_approximately():
     target = gaussian_target(np.zeros(2), np.ones(2))
     rng = Rng(1)
-    z = {"x": rng.normal(size=2)}
-    p = {"x": rng.normal(size=2)}
-    h0 = -target.logpdf(z) + 0.5 * tree_dot(p, p)
+    z = rng.normal(size=2)
+    p = rng.normal(size=2)
+    h0 = -target.value(z) + 0.5 * float(p @ p)
     z1, p1 = leapfrog(target, z, p, 0.05, 50)
-    h1 = -target.logpdf(z1) + 0.5 * tree_dot(p1, p1)
+    h1 = -target.value(z1) + 0.5 * float(p1 @ p1)
     assert abs(h1 - h0) < 0.05
 
 
 def test_hmc_samples_gaussian_moments():
     target = gaussian_target(np.array([2.0, -1.0]), np.array([1.0, 4.0]))
     rng = Rng(2)
-    z = {"x": np.zeros(2)}
+    z = np.zeros(2)
     draws = []
     for _ in range(2000):
-        z, _ = hmc_step(rng, target, z, step_size=0.3, n_steps=8)
-        draws.append(z["x"].copy())
+        z, _ = hmc_step_flat(rng, target, z, step_size=0.3, n_steps=8)
+        draws.append(z.copy())
     draws = np.asarray(draws)[200:]
     np.testing.assert_allclose(draws.mean(axis=0), [2.0, -1.0], atol=0.2)
     np.testing.assert_allclose(draws.var(axis=0), [1.0, 4.0], rtol=0.25)
@@ -118,20 +116,20 @@ def test_hmc_samples_gaussian_moments():
 
 def test_hmc_with_log_transform_stays_positive():
     # Target: log-normal-ish via transform; underlying density on x > 0.
-    def ll(x):
-        v = float(np.asarray(x["x"]))
+    def ll(v):
+        v = float(v)
         return -0.5 * (np.log(v)) ** 2 - np.log(v) if v > 0 else -np.inf
 
-    def grad(x):
-        v = float(np.asarray(x["x"]))
-        return {"x": np.asarray((-np.log(v) - 1.0) / v)}
+    def grad(v):
+        v = float(v)
+        return (-np.log(v) - 1.0) / v
 
-    target = TransformedLogDensity(ll, grad, {"x": LogTransform()})
+    target = flat_target(ll, grad, transform=LogTransform())
     rng = Rng(3)
-    z = target.unconstrain({"x": np.asarray(1.0)})
+    z = target.unconstrain_into({"x": 1.0}, np.empty(1))
     for _ in range(200):
-        z, _ = hmc_step(rng, target, z, 0.2, 5)
-        assert target.constrain(z)["x"] > 0
+        z, _ = hmc_step_flat(rng, target, z, 0.2, 5)
+        assert target.constrain_point(z)["x"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -142,13 +140,13 @@ def test_hmc_with_log_transform_stays_positive():
 def test_nuts_samples_gaussian_moments():
     target = gaussian_target(np.array([1.0]), np.array([2.0]))
     rng = Rng(4)
-    z = {"x": np.zeros(1)}
+    z = np.zeros(1)
     draws = []
     for _ in range(1500):
-        z, leapfrogs, accept = nuts_step(rng, target, z, step_size=0.5)
+        z, leapfrogs, accept = nuts_step_flat(rng, target, z, step_size=0.5)
         assert leapfrogs >= 1
         assert 0.0 <= accept <= 1.0
-        draws.append(float(z["x"][0]))
+        draws.append(float(z[0]))
     draws = np.asarray(draws)[200:]
     assert draws.mean() == pytest.approx(1.0, abs=0.15)
     assert draws.var() == pytest.approx(2.0, rel=0.25)
@@ -157,8 +155,8 @@ def test_nuts_samples_gaussian_moments():
 def test_nuts_tiny_step_gives_low_accept_stat():
     target = gaussian_target(np.zeros(1), np.ones(1))
     rng = Rng(5)
-    _, _, accept_big = nuts_step(rng, target, {"x": np.zeros(1)}, step_size=10.0)
-    _, _, accept_small = nuts_step(rng, target, {"x": np.zeros(1)}, step_size=0.1)
+    _, _, accept_big = nuts_step_flat(rng, target, np.zeros(1), step_size=10.0)
+    _, _, accept_small = nuts_step_flat(rng, target, np.zeros(1), step_size=0.1)
     assert accept_small > accept_big
 
 

@@ -11,7 +11,6 @@ from repro.runtime.transforms import (
     IdentityTransform,
     LogitTransform,
     LogTransform,
-    StickBreakingTransform,
     transform_for_support,
 )
 
@@ -60,46 +59,6 @@ def test_logit_transform_range():
     assert np.all((x > 0) & (x < 1))
 
 
-class TestStickBreaking:
-    def test_roundtrip(self):
-        t = StickBreakingTransform(4)
-        x = np.array([0.1, 0.2, 0.3, 0.4])
-        z = t.to_unconstrained(x)
-        np.testing.assert_allclose(t.to_constrained(z), x, atol=1e-10)
-
-    def test_output_is_simplex(self):
-        t = StickBreakingTransform(5)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            z = rng.normal(size=4) * 3
-            x = t.to_constrained(z)
-            assert np.all(x > 0)
-            assert np.isclose(x.sum(), 1.0)
-
-    def test_uniform_point_maps_to_zero(self):
-        # Stan's offset convention: the barycentre maps to z = 0.
-        t = StickBreakingTransform(3)
-        z = t.to_unconstrained(np.full(3, 1.0 / 3.0))
-        np.testing.assert_allclose(z, 0.0, atol=1e-10)
-
-    def test_log_jacobian_matches_numeric_determinant(self):
-        t = StickBreakingTransform(3)
-        z = np.array([0.3, -0.5])
-        eps = 1e-6
-        jac = np.zeros((2, 2))
-        for i in range(2):
-            dz = np.zeros(2)
-            dz[i] = eps
-            diff = t.to_constrained(z + dz) - t.to_constrained(z - dz)
-            jac[:, i] = diff[:2] / (2 * eps)
-        numeric = np.log(abs(np.linalg.det(jac)))
-        assert np.isclose(t.log_jacobian(z), numeric, atol=1e-4)
-
-    def test_requires_dim_at_least_two(self):
-        with pytest.raises(ValueError):
-            StickBreakingTransform(1)
-
-
 @pytest.mark.parametrize(
     "support,cls",
     [
@@ -110,13 +69,6 @@ class TestStickBreaking:
 )
 def test_transform_for_support(support, cls):
     assert isinstance(transform_for_support(support), cls)
-
-
-def test_transform_for_simplex_needs_dim():
-    with pytest.raises(ValueError):
-        transform_for_support("simplex")
-    t = transform_for_support("simplex", dim=3)
-    assert isinstance(t, StickBreakingTransform)
 
 
 def test_transform_for_unknown_support():

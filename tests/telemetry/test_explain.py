@@ -152,33 +152,6 @@ def test_fuse_gradient_option_gate_is_explained():
     assert e["choice"] == "fused"
 
 
-def test_flat_state_option_gate_is_explained():
-    hypers, data = gmm_inputs()
-    sched = "HMC[steps=3, step_size=0.05] mu (*) Gibbs z"
-    sampler = compile_model(
-        models.GMM, hypers, data, schedule=sched,
-        options=CompileOptions(flat_state=False),
-    )
-    (e,) = entries(sampler, "leapfrog.state")
-    assert e["choice"] == "tree"
-    assert "flat_state=False" in e["reason"]
-    flat = compile_model(models.GMM, hypers, data, schedule=sched)
-    (e,) = entries(flat, "leapfrog.state")
-    assert e["choice"] == "flat"
-    assert "contiguous slots" in e["reason"]
-
-
-def test_ragged_block_gate_is_explained():
-    hypers, data = ragged_inputs()
-    sampler = compile_model(
-        RAGGED_ELEMENTS, hypers, data,
-        schedule="HMC[steps=3, step_size=0.05] t",
-    )
-    (e,) = entries(sampler, "leapfrog.state")
-    assert e["choice"] == "tree"
-    assert "ragged" in e["reason"]
-
-
 # -- cache replay ----------------------------------------------------------
 
 
