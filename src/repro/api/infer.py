@@ -150,7 +150,6 @@ class Infer:
         profile: bool = False,
         warmup: int = 0,
         targetAccept: float = 0.8,
-        tune: bool = False,
     ) -> SampleResult:
         """Draw posterior samples; ``collect_stats=True`` additionally
         records per-sweep statistics for every base update of the
@@ -172,7 +171,6 @@ class Infer:
             profile=profile,
             warmup=warmup,
             target_accept=targetAccept,
-            tune=tune,
         )
 
     def sampleChains(
@@ -193,13 +191,12 @@ class Infer:
         resume=None,
         warmup: int = 0,
         targetAccept: float = 0.8,
-        tune: bool = False,
     ) -> list[SampleResult]:
         """Run independent chains, optionally fanned out over the warm
         worker pool (``executor="processes"``); draws are bitwise
         identical to the sequential path for a given seed.
         ``collect_stats`` and ``monitor`` behave as in
-        :meth:`repro.core.sampler.CompiledSampler.sample_chains`;
+        :func:`repro.core.chains.stream_chains`;
         ``earlyStopRhat`` broadcasts a stop flag once the worst split
         R-hat converges below the threshold; ``resume`` supplies one
         :class:`repro.core.chains.ChainResume` (or ``None``) per chain
@@ -221,7 +218,6 @@ class Infer:
             resume=resume,
             warmup=warmup,
             target_accept=targetAccept,
-            tune=tune,
         )
 
     def streamChains(
@@ -242,7 +238,6 @@ class Infer:
         resume=None,
         warmup: int = 0,
         targetAccept: float = 0.8,
-        tune: bool = False,
     ):
         """The streaming form of :meth:`sampleChains`: returns a
         :class:`repro.core.chains.ChainStream` yielding per-chain draw
@@ -265,7 +260,6 @@ class Infer:
             resume=resume,
             warmup=warmup,
             target_accept=targetAccept,
-            tune=tune,
         )
 
     # -- introspection -----------------------------------------------------------

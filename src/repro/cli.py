@@ -39,6 +39,7 @@ import sys
 
 import numpy as np
 
+from repro.core.chains import EXECUTORS
 from repro.core.compiler import compile_model
 from repro.core.options import CompileOptions
 from repro.core.frontend.parser import parse_model
@@ -674,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--executor",
         default="processes",
-        choices=["sequential", "processes", "threads"],
+        choices=EXECUTORS,
         help="how multi-chain runs fan out (with --chains > 1)",
     )
     ps.add_argument(
@@ -857,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--collect", default=None, help="comma-separated parameters")
     pq.add_argument(
         "--executor", default="sequential",
-        choices=["sequential", "processes", "threads"],
+        choices=EXECUTORS,
     )
     pq.add_argument("--chunk-size", type=int, default=None, metavar="N")
     pq.add_argument(

@@ -36,9 +36,9 @@ early-stopped chain's draws are a bitwise *prefix* of the full run.
 from __future__ import annotations
 
 import atexit
-import concurrent.futures
 import os
 import queue as _queue
+import sys
 import threading
 import weakref
 from collections import OrderedDict
@@ -50,7 +50,7 @@ import numpy as np
 from repro.errors import RuntimeFailure
 from repro.runtime.rng import Rng
 
-EXECUTORS = ("sequential", "processes", "threads")
+EXECUTORS = ("sequential", "processes")
 
 #: Kept draws per streamed chunk when the caller does not choose.
 DEFAULT_CHUNK = 25
@@ -199,29 +199,32 @@ def _plan_slots(plan_state, collect, n_chains, num_samples):
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Worker-side attach that opts out of the resource tracker: the
-    parent owns the segment's lifetime, and a tracked attach would make
-    every worker exit try to unlink it again."""
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
+    """Worker-side attach that never talks to the resource tracker.
 
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return shm
+    A forked worker shares the parent's tracker: its register/unregister
+    pair would delete the parent's entry, and a worker forked while a
+    parent thread held the tracker's lock would block on its first
+    register.  Before Python 3.13 ``SharedMemory`` always registers, so
+    the attach stubs the register call out (workers run no other thread
+    that registers)."""
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    from multiprocessing import resource_tracker
+
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 def _release_segment(shm: shared_memory.SharedMemory) -> None:
+    # Unmaps under live NumPy views too (they hold no buffer export):
+    # views are valid only while the owning SharedDrawBuffers lives.
     try:
         shm.close()
     except BufferError:
-        # NumPy views of shm.buf are still alive; the mapping stays
-        # valid (unlink only removes the name) and the fd is reclaimed
-        # at process exit.
         pass
     try:
         shm.unlink()
@@ -288,7 +291,8 @@ class SharedDrawBuffers:
         return out
 
     def close(self) -> None:
-        """Drop this process's mapping (worker side; never unlinks)."""
+        """Drop this process's mapping (worker side; never unlinks).
+        Views from :meth:`arrays` are invalid afterwards."""
         try:
             self._shm.close()
         except BufferError:
@@ -657,16 +661,14 @@ class ChainStream:
         self._pool: WarmPool | None = None
         self.buffers: SharedDrawBuffers | None = None
         # Correlation id + event log, captured at construction (i.e. on
-        # the request's own thread): worker threads/processes receive
-        # the rid explicitly since context vars do not cross them.
+        # the request's own thread): worker processes receive the rid
+        # explicitly since context vars do not cross them.
         from repro.telemetry.obslog import current_rid, get_event_log
 
         self._obslog = get_event_log()
         self._rid = current_rid()
         if executor == "sequential":
             self._gen = self._run_sequential()
-        elif executor == "threads":
-            self._gen = self._run_threads()
         else:
             self._gen = self._run_processes()
 
@@ -791,81 +793,9 @@ class ChainStream:
                 yield chunk
             self._finish_chain(i, it.result)
 
-    def _run_threads(self):
-        spec = self._require_spec()
-        collect = self._kwargs.get("collect")
-        num_samples = self._kwargs["num_samples"]
-        q: _queue.Queue = _queue.Queue()
-        local = threading.local()
-
-        def run_one(i, rng):
-            try:
-                inst = getattr(local, "sampler", None)
-                if inst is None:
-                    inst = local.sampler = spec.build()
-                storage = inst.allocate_draws(collect, num_samples)
-                self._apply_resume(i, storage)
-                it = inst.sample_iter(
-                    seed=rng,
-                    storage=storage,
-                    chunk_size=self._chunk_size,
-                    stop=self._stop_flag,
-                    **self._chain_kwargs(i),
-                )
-                for start, stop, info in it:
-                    if self._obslog.enabled:
-                        self._obslog.log(
-                            "chunk.emitted", rid=self._rid,
-                            chain=i, start=start, stop=stop,
-                        )
-                    q.put(("chunk", i, start, stop, info, storage))
-                q.put(("done", i, it.result))
-            except BaseException:
-                q.put(("error", i, None))
-                raise
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self._workers
-        ) as pool:
-            futures = [
-                pool.submit(run_one, i, rng)
-                for i, rng in enumerate(self._rngs)
-            ]
-            pending = set(range(self.n_chains))
-            while pending:
-                try:
-                    msg = q.get(timeout=1.0)
-                except _queue.Empty:
-                    continue
-                except KeyboardInterrupt:
-                    self.interrupted = True
-                    self.request_stop()
-                    continue
-                kind = msg[0]
-                if kind == "chunk":
-                    _, chain, start, stop, info, storage = msg
-                    chunk = ChainChunk(chain, start, stop, storage, info)
-                    try:
-                        self._ingest(chunk)
-                        yield chunk
-                    except GeneratorExit:
-                        # Abandoned stream: stop the workers before the
-                        # executor's exit blocks on them.
-                        self.request_stop()
-                        raise
-                elif kind == "done":
-                    _, chain, result = msg
-                    self._finish_chain(chain, result)
-                    pending.discard(chain)
-                else:  # error: stop siblings fast, surface via _gather
-                    self.request_stop()
-                    pending.discard(msg[1])
-        _gather(futures, None)
-
     def _run_processes(self):
         from repro.telemetry.trace import get_tracer
 
-        spec = self._require_spec()
         sampler = self._sampler
         collect = self._kwargs.get("collect")
         if collect is None:
@@ -876,7 +806,7 @@ class ChainStream:
         obslog = self._obslog
         obs_level = obslog.level_name if obslog.enabled else None
         workers = min(self._workers, self.n_chains)
-        pool = get_worker_pool(spec, workers, checkout=True)
+        pool = get_worker_pool(sampler.spec, workers, checkout=True)
         self._pool = pool
         try:
             with pool.run_lock:
@@ -994,16 +924,6 @@ class ChainStream:
         finally:
             pool.checkin()
 
-    def _require_spec(self) -> SamplerSpec:
-        spec = self._sampler.spec
-        if spec is None:
-            raise RuntimeFailure(
-                "this sampler has no SamplerSpec and cannot be rehydrated "
-                "in workers; build it with compile_model, or use "
-                "executor='sequential'"
-            )
-        return spec
-
 
 # ----------------------------------------------------------------------
 # Entry points.
@@ -1044,13 +964,25 @@ def stream_chains(
     warmup: int = 0,
     target_accept: float = 0.8,
 ) -> ChainStream:
-    """Run ``n_chains`` chains, streaming draw chunks as they land.
+    """Run ``n_chains`` independent chains, streaming draw chunks as
+    they land: a :class:`ChainStream` whose ``results`` (or
+    :meth:`~ChainStream.drain`) give one
+    :class:`~repro.core.sampler.SampleResult` per chain.
 
-    Returns a :class:`ChainStream`; see
-    :meth:`repro.core.sampler.CompiledSampler.stream_chains`.  With
-    ``early_stop_rhat`` and no ``monitor``, an internal
-    :class:`~repro.telemetry.monitors.ConvergenceMonitor` is created to
-    drive the convergence test.
+    Chain RNG streams fork deterministically from ``seed``, so the
+    per-chain draws are bitwise identical whichever ``executor`` runs
+    them: ``"sequential"`` (one after another in this process) or
+    ``"processes"`` (the warm worker pool, draws in shared memory; one
+    chain always runs sequentially).  ``n_workers`` defaults to
+    ``min(n_chains, usable CPUs)``; ``chunk_size`` to ``DEFAULT_CHUNK``
+    kept draws per chunk.  The run keywords (``burn_in`` ...
+    ``target_accept``) are those of
+    :meth:`~repro.core.sampler.CompiledSampler.sample`.
+
+    ``monitor`` (a :class:`~repro.telemetry.monitors.ConvergenceMonitor`)
+    is fed as chunks land.  ``early_stop_rhat`` stops every chain once
+    the worst split R-hat falls below it (creating a monitor when none
+    is given); stopped chains keep a bitwise prefix of their draws.
 
     ``resume`` optionally supplies one :class:`ChainResume` (or
     ``None``) per chain; resumed chains continue bit-for-bit from their
@@ -1096,81 +1028,3 @@ def stream_chains(
         sampler, n_chains, kwargs, rngs, executor, workers,
         monitor, early_stop_rhat, chunk_size, resume=resume,
     )
-
-
-def run_chains(
-    sampler,
-    n_chains: int,
-    num_samples: int,
-    burn_in: int = 0,
-    thin: int = 1,
-    seed: int = 0,
-    collect: tuple[str, ...] | None = None,
-    executor: str = "sequential",
-    n_workers: int | None = None,
-    collect_stats: bool = False,
-    monitor=None,
-    profile: bool = False,
-    chunk_size: int | None = None,
-    early_stop_rhat: float | None = None,
-    resume=None,
-    warmup: int = 0,
-    target_accept: float = 0.8,
-):
-    """Run ``n_chains`` independent chains, optionally in parallel.
-
-    Returns one :class:`~repro.core.sampler.SampleResult` per chain, in
-    chain order.  See :meth:`CompiledSampler.sample_chains` for the
-    executor semantics.  This is the batch face of
-    :func:`stream_chains`: every executor drives the same streaming
-    engine and the same monitor protocol (``observe_chunk`` per chunk,
-    ``observe_stats`` + ``chain_done`` per chain), so monitors see
-    identical per-chain feeds whichever executor runs.
-    """
-    if chunk_size is None and monitor is None and early_stop_rhat is None:
-        # Nothing consumes intermediate chunks: run whole chains per
-        # chunk to keep the batch path's overhead at zero.
-        chunk_size = num_samples
-    stream = stream_chains(
-        sampler,
-        n_chains=n_chains,
-        num_samples=num_samples,
-        burn_in=burn_in,
-        thin=thin,
-        seed=seed,
-        collect=collect,
-        executor=executor,
-        n_workers=n_workers,
-        collect_stats=collect_stats,
-        monitor=monitor,
-        profile=profile,
-        chunk_size=chunk_size,
-        early_stop_rhat=early_stop_rhat,
-        resume=resume,
-        warmup=warmup,
-        target_accept=target_accept,
-    )
-    return stream.drain()
-
-
-def _gather(futures, monitor) -> list:
-    """Collect future results in submission order, feeding the monitor
-    in *completion* order.
-
-    Each future's ``result()`` is taken exactly once (during the
-    ``as_completed`` pass); on the first failure every outstanding
-    future is cancelled so one crashed chain cannot hang the run, and
-    the original exception is re-raised.
-    """
-    results: dict = {}
-    index = {f: i for i, f in enumerate(futures)}
-    try:
-        for f in concurrent.futures.as_completed(futures):
-            results[index[f]] = f.result()
-            if monitor is not None:
-                monitor.chain_finished(index[f], results[index[f]])
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        raise
-    return [results[i] for i in range(len(futures))]

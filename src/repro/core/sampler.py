@@ -454,7 +454,6 @@ class CompiledSampler:
         profile: bool = False,
         warmup: int = 0,
         target_accept: float = 0.8,
-        tune: bool = False,
     ) -> SampleResult:
         """Draw posterior samples.
 
@@ -482,26 +481,7 @@ class CompiledSampler:
         A ``KeyboardInterrupt`` during the sweep loop finalizes the
         draws taken so far (``result.interrupted``) instead of losing
         the run.
-
-        ``tune=True`` first autotunes the schedule (:meth:`tuned`) and
-        samples from the tournament winner; the draws are bitwise
-        identical to calling ``sample`` on the winner directly, because
-        trial sweeps never touch this call's RNG stream.
         """
-        if tune:
-            return self.tuned().sample(
-                num_samples,
-                burn_in=burn_in,
-                thin=thin,
-                seed=seed,
-                collect=collect,
-                init=init,
-                callback=callback,
-                collect_stats=collect_stats,
-                profile=profile,
-                warmup=warmup,
-                target_accept=target_accept,
-            )
         return self.sample_iter(
             num_samples,
             burn_in=burn_in,
@@ -840,129 +820,33 @@ class CompiledSampler:
         )
 
     def sample_chains(
-        self,
-        n_chains: int,
-        num_samples: int,
-        burn_in: int = 0,
-        thin: int = 1,
-        seed: int = 0,
-        collect: tuple[str, ...] | None = None,
-        executor: str = "sequential",
-        n_workers: int | None = None,
-        collect_stats: bool = False,
-        monitor=None,
-        profile: bool = False,
-        chunk_size: int | None = None,
-        early_stop_rhat: float | None = None,
-        resume=None,
-        warmup: int = 0,
-        target_accept: float = 0.8,
-        tune: bool = False,
+        self, n_chains: int, num_samples: int, **kwargs
     ) -> list[SampleResult]:
-        """Run several independent chains from forked RNG streams.
+        """Run several independent chains from forked RNG streams and
+        return one :class:`SampleResult` per chain, in chain order.
 
         This is the Jags/Stan style of parallelism the paper contrasts
-        with AugurV2's within-chain parallelism (Section 7.2).  Chains
-        always use streams forked deterministically from ``seed``, so
-        for a given seed the per-chain draws are bitwise identical
-        whichever ``executor`` runs them:
-
-        - ``"sequential"``: chains run one after another in this process;
-        - ``"processes"``: chains fan out over a worker-process pool,
-          each worker rehydrating the sampler from its picklable
-          :class:`~repro.core.chains.SamplerSpec` (the compile cache
-          makes rehydration cheap);
-        - ``"threads"``: a thread pool with one rehydrated sampler per
-          worker thread (bounded by the GIL; useful for testing the
-          pool machinery without process start-up cost).
-
-        ``n_workers`` defaults to ``min(n_chains, cpu_count)``.
-
-        ``collect_stats=True`` records per-sweep update statistics in
-        every chain (each worker fills its own buffers; merge them with
-        :func:`repro.telemetry.stats.stack_chain_stats`).  ``monitor``
-        optionally takes a
-        :class:`repro.telemetry.monitors.ConvergenceMonitor` fed
-        incrementally as chains progress.  ``early_stop_rhat`` (needs a
-        monitor or creates one internally) broadcasts a stop flag to
-        every chain once the worst split R-hat falls below the
-        threshold; stopped chains keep the (bitwise-prefix) draws taken
-        so far.
+        with AugurV2's within-chain parallelism (Section 7.2).  The
+        keywords (``executor``, ``n_workers``, ``seed``, ``monitor``,
+        ``early_stop_rhat``, ``resume``, ...) are those of
+        :func:`repro.core.chains.stream_chains`; for a given seed the
+        per-chain draws are bitwise identical whichever executor runs
+        them.  This is :meth:`stream_chains` run to completion; when no
+        ``chunk_size``, ``monitor`` or ``early_stop_rhat`` asks for
+        intermediate chunks, each chain runs as one chunk.
         """
-        from repro.core.chains import run_chains
+        if all(
+            kwargs.get(k) is None
+            for k in ("chunk_size", "monitor", "early_stop_rhat")
+        ):
+            kwargs["chunk_size"] = num_samples
+        return self.stream_chains(n_chains, num_samples, **kwargs).drain()
 
-        if tune:
-            sampler = self.tuned(executor=executor, n_workers=n_workers)
-        else:
-            sampler = self
-        return run_chains(
-            sampler,
-            n_chains=n_chains,
-            num_samples=num_samples,
-            burn_in=burn_in,
-            thin=thin,
-            seed=seed,
-            collect=collect,
-            executor=executor,
-            n_workers=n_workers,
-            collect_stats=collect_stats,
-            monitor=monitor,
-            profile=profile,
-            chunk_size=chunk_size,
-            early_stop_rhat=early_stop_rhat,
-            resume=resume,
-            warmup=warmup,
-            target_accept=target_accept,
-        )
-
-    def stream_chains(
-        self,
-        n_chains: int,
-        num_samples: int,
-        burn_in: int = 0,
-        thin: int = 1,
-        seed: int = 0,
-        collect: tuple[str, ...] | None = None,
-        executor: str = "sequential",
-        n_workers: int | None = None,
-        collect_stats: bool = False,
-        monitor=None,
-        profile: bool = False,
-        chunk_size: int | None = None,
-        early_stop_rhat: float | None = None,
-        resume=None,
-        warmup: int = 0,
-        target_accept: float = 0.8,
-        tune: bool = False,
-    ):
+    def stream_chains(self, n_chains: int, num_samples: int, **kwargs):
         """The streaming form of :meth:`sample_chains`: returns a
         :class:`repro.core.chains.ChainStream` yielding
-        :class:`~repro.core.chains.ChainChunk` items as workers post
-        them; ``stream.results`` holds the per-chain
-        :class:`SampleResult` list after the iterator is exhausted (or
-        after a ``KeyboardInterrupt``, with partial draws finalized)."""
+        :class:`~repro.core.chains.ChainChunk` items as chains post
+        them; see :func:`repro.core.chains.stream_chains`."""
         from repro.core.chains import stream_chains
 
-        if tune:
-            sampler = self.tuned(executor=executor, n_workers=n_workers)
-        else:
-            sampler = self
-        return stream_chains(
-            sampler,
-            n_chains=n_chains,
-            num_samples=num_samples,
-            burn_in=burn_in,
-            thin=thin,
-            seed=seed,
-            collect=collect,
-            executor=executor,
-            n_workers=n_workers,
-            collect_stats=collect_stats,
-            monitor=monitor,
-            profile=profile,
-            chunk_size=chunk_size,
-            early_stop_rhat=early_stop_rhat,
-            resume=resume,
-            warmup=warmup,
-            target_accept=target_accept,
-        )
+        return stream_chains(self, n_chains, num_samples, **kwargs)

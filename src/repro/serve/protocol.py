@@ -38,12 +38,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.core.chains import EXECUTORS
 from repro.errors import ReproError
 
 #: Largest accepted request body (model text + data), in bytes.
 MAX_BODY_BYTES = 64 << 20
-
-EXECUTORS = ("sequential", "processes", "threads")
 
 
 class ProtocolError(ReproError):

@@ -27,7 +27,12 @@ from repro.core.compiler import (
     spec_cache_key,
 )
 from repro.core.options import CompileOptions
-from repro.serve.checkpoint import Checkpoint, CheckpointStore, _safe_name
+from repro.serve.checkpoint import (
+    Checkpoint,
+    CheckpointStore,
+    _copy_draws,
+    _safe_name,
+)
 from repro.serve.protocol import InferRequest, ProtocolError, coerce_values
 from repro.telemetry.flight import (
     DEFAULT_CAPACITY,
@@ -375,8 +380,12 @@ class InferenceService:
                 "min_ess": stream.monitor.min_ess(),
             }
         if req.return_draws:
+            # Process-executor draws are views of the run's shared
+            # segment, unmapped once the results are dropped, and the
+            # response is encoded after that: copy them out.
             response["draws_data"] = [
-                dict(r.samples) for r in results if r is not None
+                _copy_draws(r.samples, r.n_kept)
+                for r in results if r is not None
             ]
         if req.report and self.artifact_dir:
             response["report"] = self._write_report(req, sampler, results)

@@ -168,22 +168,20 @@ class ConvergenceMonitor:
     :class:`OnlineEss` per chain.
 
     **Feeding protocol** — every executor of
-    :func:`repro.core.chains.run_chains` drives the same three calls,
-    so the final monitor state is identical whichever executor ran
-    (the per-chain feed order is preserved and every accumulator is
+    :func:`repro.core.chains.stream_chains` drives the same three
+    calls, so the final monitor state is identical whichever executor
+    ran (the per-chain feed order is preserved and every accumulator is
     per-(chain, scalar)):
 
     1. :meth:`observe_chunk` (or :meth:`observe` per draw) as each
-       chain's kept draws become available — live on the sequential
-       path, per posted chunk on the streaming pooled paths;
+       chain's kept draws become available, once per streamed chunk;
     2. :meth:`observe_stats` once per chain with its
        :class:`~repro.telemetry.stats.SampleStats` (divergence /
        acceptance accounting);
     3. :meth:`chain_done` once per chain (progress line).
 
-    :meth:`chain_finished` composes all three for a completed chain
-    (the batch, replay-at-the-end form).  :meth:`converged` is the
-    early-stopping predicate the streaming engine polls.
+    :meth:`converged` is the early-stopping predicate the streaming
+    engine polls.
     """
 
     def __init__(
@@ -293,20 +291,6 @@ class ConvergenceMonitor:
                 if vals is not None and d < len(vals):
                     state[name] = vals[d]
             self.observe(chain, d, state)
-
-    def chain_finished(self, chain: int, result) -> None:
-        """Replay a finished chain's draws + stats into the monitors and
-        emit one incremental progress line (the batch form of the
-        observe_chunk -> observe_stats -> chain_done protocol)."""
-        n = 0
-        for name in self.param_names:
-            vals = result.samples.get(name)
-            if vals is not None:
-                n = max(n, len(vals))
-        if n:
-            self.observe_chunk(chain, 0, n, result.samples)
-        self.observe_stats(result.stats)
-        self.chain_done()
 
     def chain_done(self) -> None:
         """Mark one chain complete and emit a progress line."""

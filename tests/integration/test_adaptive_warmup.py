@@ -102,9 +102,6 @@ def test_warmup_rejects_negative(nuts_sampler):
 def test_adapted_chains_bitwise_across_executors(nuts_sampler):
     kwargs = dict(num_samples=SAMPLES, seed=11, warmup=WARMUP)
     seq = nuts_sampler.sample_chains(3, **kwargs)
-    thr = nuts_sampler.sample_chains(
-        3, executor="threads", n_workers=2, **kwargs
-    )
     proc = nuts_sampler.sample_chains(
         3, executor="processes", n_workers=2, **kwargs
     )
@@ -113,7 +110,7 @@ def test_adapted_chains_bitwise_across_executors(nuts_sampler):
     proc2 = nuts_sampler.sample_chains(
         3, executor="processes", n_workers=2, **kwargs
     )
-    for other in (thr, proc, proc2):
+    for other in (proc, proc2):
         for a, b in zip(seq, other):
             np.testing.assert_array_equal(a.array("mu"), b.array("mu"))
     for a, b in zip(seq, proc):
@@ -173,7 +170,7 @@ def test_mid_warmup_stop_resume_is_bitwise(nuts_sampler):
         )
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
 def test_mid_warmup_checkpoint_resume_through_chains(nuts_sampler, executor):
     from repro.core.chains import ChainResume
 

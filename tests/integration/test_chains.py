@@ -45,8 +45,9 @@ def test_chains_validate_count(nn_sampler):
 
 
 def test_chains_validate_executor(nn_sampler):
-    with pytest.raises(RuntimeFailure):
-        nn_sampler.sample_chains(2, num_samples=5, executor="fibers")
+    for executor in ("fibers", "threads"):
+        with pytest.raises(RuntimeFailure):
+            nn_sampler.sample_chains(2, num_samples=5, executor=executor)
 
 
 def test_process_executor_is_bitwise_identical(nn_sampler):
@@ -56,15 +57,6 @@ def test_process_executor_is_bitwise_identical(nn_sampler):
     )
     assert len(par) == 3
     for a, b in zip(seq, par):
-        np.testing.assert_array_equal(a.array("mu"), b.array("mu"))
-
-
-def test_thread_executor_is_bitwise_identical(nn_sampler):
-    seq = nn_sampler.sample_chains(3, num_samples=25, seed=13)
-    thr = nn_sampler.sample_chains(
-        3, num_samples=25, seed=13, executor="threads", n_workers=2
-    )
-    for a, b in zip(seq, thr):
         np.testing.assert_array_equal(a.array("mu"), b.array("mu"))
 
 
@@ -154,14 +146,10 @@ def test_stat_buffers_bitwise_equal_across_executors(nn_sampler):
             3, executor="processes", n_workers=2, **kwargs
         )
     )
-    thr = _flat_stats(
-        nn_sampler.sample_chains(3, executor="threads", n_workers=2, **kwargs)
-    )
-    assert seq and set(seq) == set(par) == set(thr)
+    assert seq and set(seq) == set(par)
     for key in seq:
         assert seq[key].shape == (3, 25)
         np.testing.assert_array_equal(seq[key], par[key])
-        np.testing.assert_array_equal(seq[key], thr[key])
 
 
 def test_gibbs_chain_has_high_ess(nn_sampler):

@@ -110,6 +110,14 @@ def test_sample_chains_with_monitor_and_stats(gmm_files, capsys):
     assert captured.err.count("[monitor]") == 2
 
 
+def test_sample_rejects_unknown_executor(gmm_files, capsys):
+    model, inputs, _ = gmm_files
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", model, inputs, "--executor", "threads"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'threads'" in capsys.readouterr().err
+
+
 def test_inspect_command(gmm_files, capsys):
     model, inputs, _ = gmm_files
     code = main(["inspect", model, inputs, "--source"])

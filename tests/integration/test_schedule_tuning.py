@@ -83,7 +83,7 @@ def test_tuned_sampler_is_bitwise_identical_to_pinned_winner(tuned):
     np.testing.assert_array_equal(a.array("mu"), b.array("mu"))
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
 def test_tune_flag_parity_across_executors(tuned, executor):
     direct = compile_model(
         GROUPED, HYPERS, make_data(),
@@ -92,23 +92,11 @@ def test_tune_flag_parity_across_executors(tuned, executor):
     ref = direct.sample_chains(
         2, num_samples=10, seed=5, executor=executor, n_workers=2
     )
-    via_flag = compile_model(GROUPED, HYPERS, make_data()).sample_chains(
-        2, num_samples=10, seed=5, executor=executor, n_workers=2,
-        tune=True,
-    )
-    for r, v in zip(ref, via_flag):
+    via_tuned = compile_model(GROUPED, HYPERS, make_data()).tuned(
+        executor=executor, n_workers=2
+    ).sample_chains(2, num_samples=10, seed=5, executor=executor, n_workers=2)
+    for r, v in zip(ref, via_tuned):
         np.testing.assert_array_equal(r.array("mu"), v.array("mu"))
-
-
-def test_sample_tune_flag_matches_direct_winner(tuned):
-    via_flag = compile_model(GROUPED, HYPERS, make_data()).sample(
-        num_samples=10, seed=9, tune=True
-    )
-    direct = compile_model(
-        GROUPED, HYPERS, make_data(),
-        schedule=tuned.spec.schedule, options=tuned.spec.options,
-    ).sample(num_samples=10, seed=9)
-    np.testing.assert_array_equal(via_flag.array("mu"), direct.array("mu"))
 
 
 def test_verdict_cache_hits_on_same_shapes(tmp_path):

@@ -1,9 +1,8 @@
 """Streaming multi-chain execution: chunk parity, early stop,
-interrupt finalization, the warm pool, and the fixed gather."""
+interrupt finalization, and the warm pool."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 
 import numpy as np
@@ -11,7 +10,6 @@ import pytest
 
 from repro.core.chains import (
     SharedDrawBuffers,
-    _gather,
     default_workers,
     get_worker_pool,
     shutdown_worker_pools,
@@ -40,7 +38,7 @@ def _teardown_pools():
 # -- streamed vs batch parity ----------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
 def test_streamed_draws_bitwise_match_batch(nn_sampler, executor):
     batch = nn_sampler.sample_chains(3, num_samples=25, burn_in=5, seed=11)
     stream = nn_sampler.stream_chains(
@@ -234,40 +232,10 @@ def test_shared_buffers_roundtrip(nn_sampler):
     owner.release()
 
 
-# -- the fixed gather -------------------------------------------------------
-
-
-class _CountingFuture(concurrent.futures.Future):
-    def __init__(self):
-        super().__init__()
-        self.result_calls = 0
-
-    def result(self, timeout=None):
-        self.result_calls += 1
-        return super().result(timeout)
-
-
-def test_gather_takes_each_result_once():
-    futures = [_CountingFuture() for _ in range(3)]
-    for i, f in enumerate(futures):
-        f.set_result(i * 10)
-    assert _gather(futures, None) == [0, 10, 20]
-    assert [f.result_calls for f in futures] == [1, 1, 1]
-
-
-def test_gather_cancels_outstanding_on_failure():
-    failed = concurrent.futures.Future()
-    failed.set_exception(ValueError("boom"))
-    pending = concurrent.futures.Future()  # never completes
-    with pytest.raises(ValueError, match="boom"):
-        _gather([failed, pending], None)
-    assert pending.cancelled()
-
-
 # -- per-chunk stat digests -------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
 def test_chunks_carry_stat_info(nn_sampler, executor):
     from repro.core.chains import stream_chains
 
@@ -322,3 +290,78 @@ def test_idle_pool_retires_immediately(nn_sampler):
     pool.retire()
     assert not pool.workers
     shutdown_worker_pools()
+
+
+# -- worker attach vs the resource tracker ----------------------------------
+
+_NN_SCRIPT = """
+import numpy as np
+from repro.core.chains import get_worker_pool, shutdown_worker_pools
+from repro.core.compiler import compile_model
+from repro.eval import models
+
+def nn_sampler(seed):
+    y = np.random.default_rng(seed).normal(2.0, 1.0, size=40)
+    return compile_model(
+        models.NORMAL_NORMAL,
+        {"N": 40, "mu_0": 0.0, "v_0": 25.0, "v": 1.0},
+        {"y": y},
+    )
+
+def run(sampler):
+    results = sampler.sample_chains(
+        2, num_samples=10, seed=3, executor="processes", n_workers=2
+    )
+    assert all(r.n_kept == 10 for r in results)
+"""
+
+SECOND_POOL_SCRIPT = _NN_SCRIPT + """
+# The first run starts this process's resource tracker; the second
+# pool (distinct data, distinct fingerprint) forks after it and so
+# shares it with the parent.
+run(nn_sampler(0))
+run(nn_sampler(1))
+shutdown_worker_pools()
+print("ok")
+"""
+
+TRACKER_LOCK_SCRIPT = _NN_SCRIPT + """
+import threading
+from multiprocessing import resource_tracker
+
+sampler = nn_sampler(0)
+held, release = threading.Event(), threading.Event()
+
+def hold():
+    with resource_tracker._resource_tracker._lock:
+        held.set()
+        release.wait()
+
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait()
+get_worker_pool(sampler.spec, 2)  # the workers fork with the lock held
+release.set()
+holder.join()
+run(sampler)
+shutdown_worker_pools()
+print("ok")
+"""
+
+
+def test_second_pool_leaves_the_parent_tracker_entry(run_isolated):
+    # A worker that registered and unregistered the segment would
+    # delete the parent's tracker entry, and the parent's unlink would
+    # then make the tracker print a KeyError traceback.
+    code, out, err = run_isolated(SECOND_POOL_SCRIPT)
+    assert code == 0, err
+    assert out.strip() == "ok"
+    assert "KeyError: '/psm_" not in err
+
+
+def test_pool_forked_under_the_tracker_lock_finishes(run_isolated):
+    # A forked worker inherits the tracker's lock as held, with no
+    # thread left to release it: the attach must never take it.
+    code, out, err = run_isolated(TRACKER_LOCK_SCRIPT, timeout=60)
+    assert code == 0, err
+    assert out.strip() == "ok"

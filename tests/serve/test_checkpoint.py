@@ -50,7 +50,7 @@ def _partial_run(nn_sampler, executor):
     )
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
 def test_resume_is_bitwise_identical(nn_sampler, executor, tmp_path):
     reference = _full_run(nn_sampler, executor)
     partial = _partial_run(nn_sampler, executor)

@@ -45,7 +45,7 @@ class TestParseInferRequest:
                     "chains": 3,
                     "seed": 9,
                     "collect": ["mu"],
-                    "executor": "threads",
+                    "executor": "processes",
                     "chunk_size": 4,
                 },
                 budget={
@@ -59,7 +59,7 @@ class TestParseInferRequest:
         assert req.request_id == "job-1"
         assert req.samples == 10
         assert req.collect == ("mu",)
-        assert req.executor == "threads"
+        assert req.executor == "processes"
         assert req.budget == Budget(1.5, 5, 1.01)
         assert req.return_draws is True
 
@@ -80,6 +80,7 @@ class TestParseInferRequest:
             _minimal(budget={"max_draws": 0}),
             _minimal(budget={"target_rhat": 0.9}),
             _minimal(resume="yes"),
+            _minimal(query={"executor": "threads"}),
         ],
     )
     def test_rejects_bad_requests(self, payload):

@@ -117,6 +117,43 @@ def test_checkpoint_mismatch_is_rejected(service, nn_payload):
     assert resp["resumed"] is False
 
 
+RETURN_DRAWS_SCRIPT = """
+import json
+import numpy as np
+from repro.eval import models
+from repro.serve.protocol import json_response, parse_infer_request
+from repro.serve.session import InferenceService
+
+y = np.random.default_rng(0).normal(2.0, 1.0, size=40)
+service = InferenceService()
+draws = {}
+for executor in ("processes", "sequential"):
+    resp = service.handle(parse_infer_request({
+        "model_source": models.NORMAL_NORMAL,
+        "data": {"N": 40, "mu_0": 0.0, "v_0": 25.0, "v": 1.0,
+                 "y": y.tolist()},
+        "query": {"samples": 24, "chains": 2, "seed": 7,
+                  "executor": executor},
+        "return_draws": True,
+    }))
+    body = json_response(200, resp).split(b"\\r\\n\\r\\n", 1)[1]
+    draws[executor] = json.loads(body)["draws_data"]
+assert len(draws["processes"]) == 2
+assert draws["processes"] == draws["sequential"]
+print("ok")
+"""
+
+
+def test_returned_process_draws_outlive_the_run(run_isolated):
+    # The response is encoded after the run's results, and with them
+    # the shared draw segment, are released: returned draws must not
+    # be views of it.  A fresh interpreter, because reading an unmapped
+    # segment kills the process with SIGSEGV.
+    code, out, err = run_isolated(RETURN_DRAWS_SCRIPT)
+    assert code == 0, err
+    assert out.strip() == "ok"
+
+
 def test_progress_events_carry_chunk_info(service, nn_payload):
     events = []
     resp = _handle(service, nn_payload, progress_cb=events.append)

@@ -178,10 +178,10 @@ def test_parallel_monitor_agrees_with_sequential(nn_sampler):
     par = make_monitor(3, 60)
     nn_sampler.sample_chains(
         3, num_samples=60, seed=7, collect_stats=True, monitor=par,
-        executor="threads", n_workers=2,
+        executor="processes", n_workers=2,
     )
-    # The replay path feeds identical draws, so the online diagnostics
-    # agree exactly with the live-streamed sequential ones.
+    # The pool streams identical draws, so the online diagnostics
+    # agree exactly with the sequential ones.
     assert par.worst_rhat() == pytest.approx(seq.worst_rhat(), rel=1e-12)
     assert par.min_ess() == pytest.approx(seq.min_ess(), rel=1e-12)
 

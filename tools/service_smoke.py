@@ -170,15 +170,23 @@ def main() -> int:
         )
 
         # 3. Bitwise resume: finish a budget-capped request and compare
-        # against a never-interrupted run of the same seed.
+        # against a never-interrupted run of the same seed.  The
+        # reference returns its draws from the host's executor (the
+        # pool on a multi-CPU host).  The capped legs run sequentially:
+        # on the pool both chains can finish before the 60-draw budget
+        # lands, leaving nothing to resume.  The bitwise comparison
+        # then also covers cross-executor parity.
         ref = dict(payload, return_draws=True)
         status, reference = call(port, "POST", "/v1/infer", ref)
         assert status == 200, reference
         capped = dict(payload, request_id="resume-1")
+        capped["query"] = dict(payload["query"], executor="sequential")
         capped["budget"] = {"max_draws": 60}
         status, leg1 = call(port, "POST", "/v1/infer", capped)
         assert status == 200 and leg1["stop_reason"] == "draw_budget", leg1
-        capped = dict(payload, request_id="resume-1", return_draws=True)
+        assert leg1["checkpointed"], leg1
+        del capped["budget"]
+        capped["return_draws"] = True
         status, leg2 = call(port, "POST", "/v1/infer", capped)
         assert status == 200 and leg2["complete"] and leg2["resumed"], leg2
         for chain_ref, chain_res in zip(
