@@ -1,30 +1,32 @@
-"""Telemetry overhead: stats collection and tracing vs the bare loop.
+"""Telemetry overhead: the disabled hooks, and the price of each kind on.
 
 The telemetry subsystem's contract is that *disabled* instrumentation is
 free: the sweep loop pays one ``is None`` check per update when stats
 are off and one ``enabled`` check when tracing is off.  This benchmark
 measures that contract on the Figure-1 GMM:
 
-- ``off`` vs ``off`` (a second identical run) gives the measurement
-  noise floor;
+- the disabled hooks, measured directly: each disabled entry point --
+  ``span``, ``add_complete`` and ``instant`` with tracing off,
+  ``log_event`` with the event log off, and a pool worker's
+  ``WorkerCapture.drain`` with nothing captured -- is timed in a tight
+  loop, and its per-call time is multiplied by the calls a streamed GMM
+  run makes with tracing and the log *on*, where every emission point
+  that the off path guards is reached.  The sum is the most the
+  disabled hooks can cost a run; the acceptance assertion holds it to
+  <= 3% of the off run's wall time.  (Comparing an off run with a
+  second off run instead measures only run-to-run noise.)
 - ``off`` vs ``collect_stats=True`` gives the price of recording every
   update's per-sweep record into the preallocated buffers;
 - ``off`` vs tracing-enabled gives the price of the runtime spans
   (which are bulk-emitted after the loop from timing arrays);
 - ``off`` vs ``profile=True`` gives the price of the sweep profiler
-  (per-update timer brackets plus wrapped per-decl callables).  The
-  profiler's *off* path -- the one ``is None`` check per sweep -- is
-  part of the bare loop and therefore covered by the off-vs-off
-  acceptance number.
+  (per-update timer brackets plus wrapped per-decl callables);
 - a streamed run vs the same run with the structured event log armed
   (JSON-lines sink) and a flight recorder fed per chunk gives the
-  price of the serve-path observability stack.  Its *off* path -- one
-  ``enabled`` check per chunk and per sampling run -- is again part of
-  the bare loop, covered by the off-vs-off number.
+  price of the serve-path observability stack.
 
 Results land in ``BENCH_telemetry_overhead.json`` at the repository
-root.  The acceptance assertion is on the *median-of-repeats* off-path
-overhead: <= 3% beyond the noise floor.
+root.
 """
 
 from __future__ import annotations
@@ -41,12 +43,25 @@ from repro.core.compiler import compile_model
 from repro.eval import models
 from repro.eval.experiments.common import format_table
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.obslog import configure_event_log, get_event_log
-from repro.telemetry.trace import disable_tracing, enable_tracing, get_tracer
+from repro.telemetry.obslog import (
+    WorkerCapture,
+    configure_event_log,
+    get_event_log,
+    log_event,
+)
+from repro.telemetry.trace import (
+    disable_tracing,
+    enable_tracing,
+    get_tracer,
+    instant,
+    span,
+)
 
 FULL = os.environ.get("REPRO_FULL") == "1"
 NUM_SAMPLES = 600 if FULL else 250
 REPEATS = 7 if FULL else 5
+CHUNK = 25
+HOOK_LOOPS = 100_000
 MAX_OFF_OVERHEAD_PCT = 3.0
 RESULTS_JSON = (
     pathlib.Path(__file__).resolve().parents[1] / "BENCH_telemetry_overhead.json"
@@ -78,23 +93,108 @@ def _timed_run(sampler, collect_stats=False, profile=False):
     return time.perf_counter() - t0
 
 
-def _timed_stream_run(sampler, recorder=None):
+def _stream_run(sampler, recorder=None):
     """One single-chain streamed run (the serve hot path); with
     ``recorder`` every chunk also feeds the flight recorder, as
-    ``InferenceService._handle`` does."""
-    t0 = time.perf_counter()
+    ``InferenceService._handle`` does.  Returns the chunk count."""
     stream = sampler.stream_chains(
         n_chains=1, num_samples=NUM_SAMPLES, seed=3,
-        executor="sequential", collect_stats=True, chunk_size=25,
+        executor="sequential", collect_stats=True, chunk_size=CHUNK,
     )
+    chunks = 0
     for chunk in stream:
+        chunks += 1
         if recorder is not None:
             recorder.record_chunk(chunk)
+    return chunks
+
+
+def _timed_stream_run(sampler, recorder=None):
+    t0 = time.perf_counter()
+    _stream_run(sampler, recorder)
     return time.perf_counter() - t0
 
 
 def _median(xs):
     return float(np.median(xs))
+
+
+# -- the disabled hooks -----------------------------------------------------
+
+
+def _per_call_ns(call):
+    """Best-of-5 time of one call, loop overhead included."""
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter_ns()
+        for _ in range(HOOK_LOOPS):
+            call()
+        best = min(best, (time.perf_counter_ns() - t0) / HOOK_LOOPS)
+    return best
+
+
+def _span_off():
+    with span("x"):
+        pass
+
+
+def _disabled_hook_costs():
+    """Per-call ns of every disabled entry point."""
+    assert not get_tracer().enabled and not get_event_log().enabled
+    tracer = get_tracer()
+    idle = WorkerCapture(*WorkerCapture.wanted())
+    return {
+        "span": _per_call_ns(_span_off),
+        "add_complete": _per_call_ns(
+            lambda: tracer.add_complete("x", "runtime", 0.0, 0.0)
+        ),
+        "instant": _per_call_ns(lambda: instant("x")),
+        "log_event": _per_call_ns(lambda: log_event("x")),
+        "worker_drain": _per_call_ns(idle.drain),
+    }
+
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def _hook_calls(sampler, sink):
+    """Calls each entry point gets in one streamed run with tracing and
+    the log on.  ``span`` records through ``add_complete``, so those
+    calls are subtracted; a worker drains once per chunk and once for
+    its final message."""
+    tracer = enable_tracing()
+    log = configure_event_log(path=sink, level="debug")
+    targets = {
+        "span": (tracer, "span"),
+        "add_complete": (tracer, "add_complete"),
+        "instant": (tracer, "instant"),
+        "log_event": (log, "log"),
+    }
+    hooks = {
+        name: _Counted(getattr(obj, attr))
+        for name, (obj, attr) in targets.items()
+    }
+    for name, (obj, attr) in targets.items():
+        setattr(obj, attr, hooks[name])
+    try:
+        chunks = _stream_run(sampler)
+    finally:
+        for obj, attr in targets.values():
+            delattr(obj, attr)  # back to the class's methods
+        disable_tracing()
+        tracer.reset()
+        log.close()
+    calls = {name: hook.calls for name, hook in hooks.items()}
+    calls["add_complete"] -= calls["span"]
+    calls["worker_drain"] = chunks + 1
+    return calls
 
 
 def test_telemetry_off_overhead_within_budget(report):
@@ -103,7 +203,7 @@ def test_telemetry_off_overhead_within_budget(report):
 
     # Interleave the variants so drift (thermal, page cache) spreads
     # evenly instead of biasing whichever variant runs last.
-    base, base2, stats_on, traced, profiled = [], [], [], [], []
+    base, stats_on, traced, profiled = [], [], [], []
     stream_base, obs_on = [], []
     with tempfile.TemporaryDirectory() as tmpdir:
         obs_sink = os.path.join(tmpdir, "events.jsonl")
@@ -122,16 +222,17 @@ def test_telemetry_off_overhead_within_budget(report):
                 _timed_stream_run(sampler, recorder=FlightRecorder("bench"))
             )
             get_event_log().close()
-            base2.append(_timed_run(sampler))
+        calls = _hook_calls(sampler, obs_sink)
+    per_call_ns = _disabled_hook_costs()
 
-    off_s, off2_s = _median(base), _median(base2)
+    off_s = _median(base)
     stats_s, trace_s = _median(stats_on), _median(traced)
     profile_s = _median(profiled)
     stream_s, obs_s = _median(stream_base), _median(obs_on)
-    noise_pct = abs(off2_s - off_s) / off_s * 100.0
-    # "Telemetry off" overhead: the armed-but-disabled code paths, i.e.
-    # the second off run measured against the first.
-    off_overhead_pct = (off2_s - off_s) / off_s * 100.0
+    hook_s = {
+        name: per_call_ns[name] * calls[name] * 1e-9 for name in per_call_ns
+    }
+    hooks_pct = sum(hook_s.values()) / off_s * 100.0
     stats_overhead_pct = (stats_s - off_s) / off_s * 100.0
     trace_overhead_pct = (trace_s - off_s) / off_s * 100.0
     profile_overhead_pct = (profile_s - off_s) / off_s * 100.0
@@ -146,8 +247,8 @@ def test_telemetry_off_overhead_within_budget(report):
             ["variant", "wall s", "overhead"],
             [
                 ["telemetry off", f"{off_s:.3f}", "baseline"],
-                ["telemetry off (re-run)", f"{off2_s:.3f}",
-                 f"{off_overhead_pct:+.2f}%"],
+                ["disabled hooks (measured per call)",
+                 f"{sum(hook_s.values()):.6f}", f"{hooks_pct:+.3f}%"],
                 ["collect_stats=True", f"{stats_s:.3f}",
                  f"{stats_overhead_pct:+.2f}%"],
                 ["tracing enabled", f"{trace_s:.3f}",
@@ -159,6 +260,15 @@ def test_telemetry_off_overhead_within_budget(report):
                 ["event log + flight recorder", f"{obs_s:.3f}",
                  f"{obslog_overhead_pct:+.2f}% vs stream"],
             ],
+        )
+        + "\n\n"
+        + format_table(
+            ["disabled hook", "ns/call", "calls/run", "us/run"],
+            [
+                [name, f"{per_call_ns[name]:.0f}", str(calls[name]),
+                 f"{hook_s[name] * 1e6:.1f}"]
+                for name in per_call_ns
+            ],
         ),
     )
 
@@ -168,26 +278,27 @@ def test_telemetry_off_overhead_within_budget(report):
                 "num_samples": NUM_SAMPLES,
                 "repeats": REPEATS,
                 "telemetry_off_s": off_s,
-                "telemetry_off_rerun_s": off2_s,
                 "collect_stats_s": stats_s,
                 "tracing_s": trace_s,
                 "profile_s": profile_s,
                 "trace_events_per_run": trace_events,
-                # The acceptance number: cost of the disabled telemetry
-                # code paths, i.e. run-to-run delta of the off path.
-                "telemetry_off_overhead_pct": off_overhead_pct,
-                "noise_floor_pct": noise_pct,
+                # The acceptance number: the disabled entry points'
+                # per-call time times their calls per run, as a share
+                # of the off run.
+                "disabled_hooks": {
+                    name: {
+                        "ns_per_call": per_call_ns[name],
+                        "calls_per_run": calls[name],
+                    }
+                    for name in per_call_ns
+                },
+                "disabled_hooks_pct": hooks_pct,
                 "collect_stats_overhead_pct": stats_overhead_pct,
                 "tracing_overhead_pct": trace_overhead_pct,
-                # Profiler off-path cost is inside the off-vs-off number
-                # (the sweep loop's one `profiler is None` check); this
-                # is the on-path price of the timer brackets + wrappers.
                 "profile_overhead_pct": profile_overhead_pct,
                 # Serve-path observability: streamed-chunk baseline vs
                 # event log armed (JSON-lines sink, debug level) plus a
-                # flight recorder fed every chunk.  Their *off* path --
-                # one `enabled` check per chunk / per run -- is inside
-                # the off-vs-off acceptance number like the profiler's.
+                # flight recorder fed every chunk.
                 "stream_s": stream_s,
                 "obslog_flight_s": obs_s,
                 "obslog_flight_overhead_pct": obslog_overhead_pct,
@@ -197,8 +308,8 @@ def test_telemetry_off_overhead_within_budget(report):
         )
     )
 
-    assert off_overhead_pct <= MAX_OFF_OVERHEAD_PCT, (
-        f"telemetry-off path regressed {off_overhead_pct:.2f}% "
+    assert hooks_pct <= MAX_OFF_OVERHEAD_PCT, (
+        f"disabled telemetry hooks cost {hooks_pct:.3f}% of a run "
         f"(budget {MAX_OFF_OVERHEAD_PCT}%)"
     )
     # Recording itself must stay cheap relative to the generated-code

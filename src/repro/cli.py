@@ -319,13 +319,13 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
             progress.close()
         else:
             for chunk in stream:
-                phase = (chunk.info or {}).get("__phase__")
-                if phase is not None and phase.get("phase") == "warmup":
+                phase = chunk.phase
+                if phase is not None and phase["phase"] == "warmup":
                     line = (
                         f"[stream] chain {chunk.chain}: warmup "
-                        f"{phase.get('sweep')}/{phase.get('warmup')}"
+                        f"{phase['sweep']}/{phase['warmup']}"
                     )
-                    if phase.get("step_size") is not None:
+                    if phase["step_size"] is not None:
                         line += f" | step {phase['step_size']:.3g}"
                     print(line, file=sys.stderr)
                     continue
@@ -336,8 +336,6 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
                 if chunk.info:
                     bits = []
                     for label, entry in sorted(chunk.info.items()):
-                        if label == "__phase__":
-                            continue
                         rate = entry.get("accept_rate")
                         if rate is not None and rate == rate:
                             bits.append(f"{label} accept {rate:.2f}")
@@ -384,7 +382,7 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
     for name in collect or sampler.param_names:
         print(rhat_report(report_results, name))
     if args.stats:
-        from repro.telemetry.stats import acceptance_ranges, stack_chain_stats
+        from repro.telemetry.stats import stack_chain_stats
 
         merged = stack_chain_stats(results)
         if merged:
@@ -392,6 +390,9 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
             for key in sorted(merged):
                 vals = np.asarray(merged[key], dtype=np.float64)
                 print(f"  {key:32s} mean {np.nanmean(vals):10.4f}")
+    if args.stats or args.monitor:
+        from repro.telemetry.stats import acceptance_ranges
+
         ranges = acceptance_ranges(results)
         if ranges:
             print("acceptance rates (per sweep, all chains):")

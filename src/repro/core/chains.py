@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.errors import RuntimeFailure
 from repro.runtime.rng import Rng
+from repro.telemetry.obslog import WorkerCapture, current_rid, get_event_log
 
 EXECUTORS = ("sequential", "processes")
 
@@ -319,114 +320,101 @@ class _ChainTask:
     kwargs: dict
     plan: BufferPlan | None
     chunk_size: int
-    ship_trace: bool
     #: Correlation id of the request this chain serves; stamped on
     #: every worker-side event log entry so one grep reconstructs the
     #: request across processes.
     rid: str | None = None
-    #: Event-log level to capture at in the worker, or ``None`` when
-    #: the parent's log is disabled (no capture, no shipping).
-    obs_level: str | None = None
+    #: What the worker captures for the parent: the ``(trace, level)``
+    #: of :meth:`~repro.telemetry.obslog.WorkerCapture.wanted`.
+    capture: tuple = (False, None)
 
 
 def _run_task(sampler, task: _ChainTask, result_q, stop_event) -> None:
-    tracer = None
-    if task.ship_trace:
-        from repro.telemetry.trace import enable_tracing
-
-        tracer = enable_tracing()
-    obs = None
-    if task.obs_level is not None:
-        from repro.telemetry.obslog import get_event_log
-
-        obs = get_event_log()
-        obs.begin_capture(level=task.obs_level)
-    buffers = (
-        SharedDrawBuffers.attach(task.plan) if task.plan is not None else None
-    )
-    storage = buffers.arrays(task.chain) if buffers is not None else None
+    """Run one chain and post its messages.  Each is ``(kind, run_id,
+    chain, body, telemetry)``: a ``"chunk"`` carries ``(start, stop,
+    info, phase)``, ``"done"`` the chain's result and ``"error"`` a
+    description; ``telemetry`` is the worker capture's drain since the
+    previous message."""
+    capture = WorkerCapture(*task.capture)
+    log = get_event_log()
+    buffers = storage = None
     try:
-        it = sampler.sample_iter(
-            seed=task.rng,
-            storage=storage,
-            chunk_size=task.chunk_size,
-            stop=stop_event.is_set,
-            **task.kwargs,
-        )
-        for start, stop, info in it:
-            events = tracer.drain_events() if tracer is not None else None
-            if obs is not None:
-                obs.log(
+        try:
+            if task.plan is not None:
+                buffers = SharedDrawBuffers.attach(task.plan)
+                storage = buffers.arrays(task.chain)
+            it = sampler.sample_iter(
+                seed=task.rng,
+                storage=storage,
+                chunk_size=task.chunk_size,
+                stop=stop_event.is_set,
+                **task.kwargs,
+            )
+            for chunk in it:
+                log.log(
                     "chunk.emitted", rid=task.rid,
-                    chain=task.chain, start=start, stop=stop,
+                    chain=task.chain, start=chunk[0], stop=chunk[1],
                 )
-            obs_events = obs.drain_capture() if obs is not None else None
-            result_q.put(
-                (
-                    "chunk", task.run_id, task.chain, start, stop, info,
-                    events, obs_events,
+                result_q.put(
+                    ("chunk", task.run_id, task.chain, chunk, capture.drain())
                 )
-            )
-        result = it.result
-        # Dense draws already live in the shared segment; strip the
-        # worker-side views so only metadata (stats, ragged lists,
-        # timings) crosses the pipe.
-        result.samples = {
-            name: (None if isinstance(vals, np.ndarray) else vals)
-            for name, vals in result.samples.items()
-        }
-        result.draw_buffers = None
-        if tracer is not None:
-            result.trace_events = tracer.drain_events()
-            tracer.disable()
-        obs_events = None
-        if obs is not None:
-            obs.log(
+            kind, body = "done", it.result
+            # Dense draws already live in the shared segment; strip the
+            # worker-side views so only metadata (stats, ragged lists,
+            # timings) crosses the pipe.
+            body.samples = {
+                name: (None if isinstance(vals, np.ndarray) else vals)
+                for name, vals in body.samples.items()
+            }
+            body.draw_buffers = None
+            log.log(
                 "chain.finished", rid=task.rid, chain=task.chain,
-                kept=result.n_kept, sweeps=result.sweeps_run,
-                stopped_early=result.stopped_early,
+                kept=body.n_kept, sweeps=body.sweeps_run,
+                stopped_early=body.stopped_early,
             )
-            obs_events = obs.drain_capture()
-            obs.end_capture()
-        result_q.put(("done", task.run_id, task.chain, result, obs_events))
-        del it, result
+        except Exception as e:  # ship, don't die: the pool is reusable
+            kind, body = "error", f"{type(e).__name__}: {e}"
+            log.log(
+                "chain.error", level="error", rid=task.rid,
+                chain=task.chain, error=body,
+            )
+        result_q.put((kind, task.run_id, task.chain, body, capture.drain()))
     finally:
+        capture.close()
         del storage
         if buffers is not None:
             buffers.close()
 
 
-def _pool_worker_main(spec: SamplerSpec, task_q, result_q, stop_event) -> None:
+#: Seconds an idle pool worker waits for a task before it checks that
+#: the process owning its pool is still alive.
+ORPHAN_POLL_S = 1.0
+
+
+def _pool_worker_main(
+    spec: SamplerSpec, task_q, result_q, stop_event, owner_pid: int
+) -> None:
     """Long-lived pool worker: build the sampler once, then serve chain
-    tasks until a ``None`` sentinel arrives."""
-    from repro.telemetry.obslog import get_event_log
+    tasks until a ``None`` sentinel arrives or the process that owns
+    the pool (``owner_pid``) dies -- a worker whose owner was killed
+    exits within :data:`ORPHAN_POLL_S` of going idle instead of
+    holding the owner's pipes and sockets open."""
     from repro.telemetry.trace import disable_tracing
 
     disable_tracing()  # a fork inherits the parent's tracer state
     get_event_log().reset_after_fork()  # ... and the parent's log sink
     sampler = spec.build()
     while True:
-        task = task_q.get()
+        try:
+            task = task_q.get(timeout=ORPHAN_POLL_S)
+        except _queue.Empty:
+            if os.getppid() != owner_pid:
+                result_q.cancel_join_thread()  # no reader is left
+                return
+            continue
         if task is None:
             break
-        try:
-            _run_task(sampler, task, result_q, stop_event)
-        except Exception as e:  # ship, don't die: the pool is reusable
-            obs_events = None
-            log = get_event_log()
-            if log.capturing:
-                log.log(
-                    "chain.error", level="error", rid=task.rid,
-                    chain=task.chain, error=f"{type(e).__name__}: {e}",
-                )
-                obs_events = log.drain_capture()
-                log.end_capture()
-            result_q.put(
-                (
-                    "error", task.run_id, task.chain,
-                    f"{type(e).__name__}: {e}", obs_events,
-                )
-            )
+        _run_task(sampler, task, result_q, stop_event)
 
 
 @dataclass
@@ -494,12 +482,13 @@ class WarmPool:
             self.shutdown()
 
     def _spawn_one(self) -> PoolWorker:
-        from repro.telemetry.obslog import get_event_log
-
         task_q = self._ctx.Queue()
         p = self._ctx.Process(
             target=_pool_worker_main,
-            args=(self.spec, task_q, self.result_q, self.stop_event),
+            args=(
+                self.spec, task_q, self.result_q, self.stop_event,
+                os.getpid(),
+            ),
             daemon=True,
         )
         p.start()
@@ -508,8 +497,6 @@ class WarmPool:
 
     def ensure_workers(self, n: int) -> None:
         """Grow to at least ``n`` live workers, reviving any that died."""
-        from repro.telemetry.obslog import get_event_log
-
         for i, w in enumerate(self.workers):
             if not w.process.is_alive():
                 old_pid = w.process.pid
@@ -604,7 +591,10 @@ class ChainChunk:
     stats digest for the sweeps behind this chunk
     (:func:`repro.telemetry.stats.chunk_stat_info`) when the run
     collects stats, so consumers can report acceptance / divergences
-    live instead of only from the final result.
+    live instead of only from the final result.  ``phase`` is the
+    warmup progress ``{"phase": "warmup" | "sampling", "sweep",
+    "warmup", "step_size"}`` of a run with warmup (``None`` without);
+    warmup chunks are zero-width (``start == stop``).
     """
 
     chain: int
@@ -612,6 +602,7 @@ class ChainChunk:
     stop: int
     samples: dict
     info: dict | None = None
+    phase: dict | None = None
 
 
 class ChainStream:
@@ -622,13 +613,12 @@ class ChainStream:
 
     The stream drives the unified monitor protocol documented on
     :class:`~repro.telemetry.monitors.ConvergenceMonitor` --
-    ``observe_chunk`` per chunk, then ``observe_stats`` +
-    ``chain_done`` per finished chain -- identically for every
-    executor.  With ``early_stop_rhat`` set, the stream polls
-    ``monitor.converged`` after each chunk and broadcasts the stop
-    flag once it holds; a ``KeyboardInterrupt`` while iterating (or
-    :meth:`request_stop`) does the same, so partial results are always
-    finalized.
+    ``observe_chunk`` per chunk, then ``chain_done`` per finished
+    chain -- identically for every executor.  With ``early_stop_rhat``
+    set, the stream polls ``monitor.converged`` after each chunk and
+    broadcasts the stop flag once it holds; a ``KeyboardInterrupt``
+    while iterating (or :meth:`request_stop`) does the same, so partial
+    results are always finalized.
     """
 
     def __init__(
@@ -663,8 +653,6 @@ class ChainStream:
         # Correlation id + event log, captured at construction (i.e. on
         # the request's own thread): worker processes receive the rid
         # explicitly since context vars do not cross them.
-        from repro.telemetry.obslog import current_rid, get_event_log
-
         self._obslog = get_event_log()
         self._rid = current_rid()
         if executor == "sequential":
@@ -709,7 +697,8 @@ class ChainStream:
     def _ingest(self, chunk: ChainChunk) -> None:
         if self.monitor is not None:
             self.monitor.observe_chunk(
-                chunk.chain, chunk.start, chunk.stop, chunk.samples
+                chunk.chain, chunk.start, chunk.stop, chunk.samples,
+                chunk.info,
             )
             if (
                 self._early_stop is not None
@@ -724,7 +713,6 @@ class ChainStream:
             result.interrupted = True
         self.results[chain] = result
         if self.monitor is not None:
-            self.monitor.observe_stats(result.stats)
             self.monitor.chain_done()
 
     def _chain_kwargs(self, chain: int) -> dict:
@@ -776,35 +764,31 @@ class ChainStream:
             )
             while True:
                 try:
-                    span = next(it)
+                    start, stop, info, phase = next(it)
                 except StopIteration:
                     break
                 except KeyboardInterrupt:
                     self.interrupted = True
                     self.request_stop()
                     continue
-                chunk = ChainChunk(i, span[0], span[1], storage, span[2])
+                chunk = ChainChunk(i, start, stop, storage, info, phase)
                 if self._obslog.enabled:
                     self._obslog.log(
                         "chunk.emitted", rid=self._rid,
-                        chain=i, start=span[0], stop=span[1],
+                        chain=i, start=start, stop=stop,
                     )
                 self._ingest(chunk)
                 yield chunk
             self._finish_chain(i, it.result)
 
     def _run_processes(self):
-        from repro.telemetry.trace import get_tracer
-
         sampler = self._sampler
         collect = self._kwargs.get("collect")
         if collect is None:
             collect = sampler.param_names
         num_samples = self._kwargs["num_samples"]
-        tracer = get_tracer()
-        ship_trace = tracer.enabled
+        capture = WorkerCapture.wanted()
         obslog = self._obslog
-        obs_level = obslog.level_name if obslog.enabled else None
         workers = min(self._workers, self.n_chains)
         pool = get_worker_pool(sampler.spec, workers, checkout=True)
         self._pool = pool
@@ -827,8 +811,7 @@ class ChainStream:
                     kwargs["collect"] = tuple(collect)
                     task = _ChainTask(
                         run_id, i, rng, kwargs, self.buffers.plan,
-                        self._chunk_size, ship_trace,
-                        rid=self._rid, obs_level=obs_level,
+                        self._chunk_size, rid=self._rid, capture=capture,
                     )
                     pool.workers[i % workers].task_q.put(task)
                 pending = set(range(self.n_chains))
@@ -856,17 +839,14 @@ class ChainStream:
                         self.interrupted = True
                         self.request_stop()
                         continue
-                    kind = msg[0]
-                    if msg[1] != run_id:
+                    kind, msg_run, chain, body, telemetry = msg
+                    if msg_run != run_id:
                         continue  # stale message from an aborted prior run
+                    WorkerCapture.adopt(telemetry)
                     if kind == "chunk":
-                        _, _, chain, start, stop, info, events, obs_ev = msg
-                        if events:
-                            tracer.adopt(events)
-                        if obs_ev:
-                            obslog.adopt(obs_ev)
+                        start, stop, info, phase = body
                         chunk = ChainChunk(
-                            chain, start, stop, storages[chain], info
+                            chain, start, stop, storages[chain], info, phase
                         )
                         try:
                             self._ingest(chunk)
@@ -875,9 +855,7 @@ class ChainStream:
                             pool.stop_event.set()
                             raise
                     elif kind == "done":
-                        _, _, chain, result, obs_ev = msg
-                        if obs_ev:
-                            obslog.adopt(obs_ev)
+                        result = body
                         storage = storages[chain]
                         resume = self._resume[chain]
                         rebuilt = {}
@@ -906,16 +884,11 @@ class ChainStream:
                                 rebuilt[name] = vals
                         result.samples = rebuilt
                         result.draw_buffers = self.buffers
-                        if result.trace_events:
-                            tracer.adopt(result.trace_events)
                         self._finish_chain(chain, result)
                         pending.discard(chain)
                     else:  # "error"
-                        _, _, chain, desc, obs_ev = msg
-                        if obs_ev:
-                            obslog.adopt(obs_ev)
                         error = RuntimeFailure(
-                            f"chain {chain} failed in worker: {desc}"
+                            f"chain {chain} failed in worker: {body}"
                         )
                         pool.stop_event.set()
                         pending.discard(chain)

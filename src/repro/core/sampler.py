@@ -101,10 +101,6 @@ class SampleResult:
     #: The sweep profiler's attribution table (``profile=True``);
     #: ``None`` when profiling was off.
     profile: object | None = None
-    #: Chrome-trace events shipped back from a worker process (the
-    #: multi-chain runner merges these into the parent tracer so a
-    #: ``processes`` run produces one coherent trace file).
-    trace_events: list | None = None
     #: Kept draws actually stored.  Equals the requested ``num_samples``
     #: unless the run stopped early (converged R-hat broadcast) or was
     #: interrupted; partial runs truncate ``samples``/``sweep_times``/
@@ -167,10 +163,10 @@ class SampleRun:
     ``result``.
 
     Produced by :meth:`CompiledSampler.sample_iter`.  Iterating yields
-    ``(start, stop)`` kept-draw index ranges as soon as those draws have
-    been written into the run's draw storage — the nutpie-style
-    ``do_sample``/``finalize`` shape the streaming multi-chain engine
-    builds on.  After exhaustion ``result`` holds the finished
+    ``(start, stop, info, phase)`` per chunk as soon as kept draws
+    ``start:stop`` have been written into the run's draw storage — the
+    nutpie-style ``do_sample``/``finalize`` shape the streaming
+    multi-chain engine builds on.  After exhaustion ``result`` holds the finished
     :class:`SampleResult` (possibly partial: see ``stopped_early`` /
     ``interrupted``).  :meth:`request_stop` asks the sweep loop to stop
     at the next sweep boundary; draws already taken are kept.
@@ -517,16 +513,19 @@ class CompiledSampler:
         adapt_state: dict | None = None,
     ) -> SampleRun:
         """The resumable form of :meth:`sample`: a :class:`SampleRun`
-        yielding ``(start, stop, info)`` kept-draw index ranges per
-        chunk (``info`` is a per-chunk stats digest when
-        ``collect_stats=True``, else ``None``).
+        yielding ``(start, stop, info, phase)`` per chunk: the kept-draw
+        index range, the per-update stats digest of the chunk's sweeps
+        (:func:`~repro.telemetry.stats.chunk_stat_info`; ``None``
+        unless ``collect_stats=True``), and the warmup phase (``None``
+        unless ``warmup > 0``).
 
         ``warmup`` prepends that many adaptation sweeps (dual-averaging
         step size toward ``target_accept`` plus windowed diagonal
         mass-matrix estimation for every HMC/NUTS update); during
-        warmup the run yields zero-width progress chunks whose ``info``
-        carries a ``"__phase__"`` entry (phase, sweep, step size) so
-        streaming consumers can report adaptation progress.
+        warmup the run yields zero-width progress chunks, and every
+        chunk's ``phase`` is ``{"phase": "warmup" | "sampling",
+        "sweep", "warmup", "step_size"}`` so streaming consumers can
+        report adaptation progress.
         ``adapt_state`` restores checkpointed
         :class:`~repro.runtime.mcmc.adapt.WarmupAdapter` state (keyed by
         update label) so a run resumed mid-warmup continues
@@ -663,6 +662,8 @@ class CompiledSampler:
             return chunk_stat_info(stat_bufs, chunk_sweep_lo, sweeps_run)
 
         def phase_info(phase):
+            if not warmup:
+                return None
             eps = None
             for _, a in adapters:
                 if a.step_size is not None:
@@ -702,11 +703,10 @@ class CompiledSampler:
                         # serving deadline poll) see adaptation advance
                         # even though no draws are kept yet.
                         if sweeps_run - phase_mark >= chunk_size:
-                            info = chunk_info() or {}
-                            info["__phase__"] = phase_info("warmup")
+                            info = chunk_info()
                             chunk_sweep_lo = sweeps_run
                             phase_mark = sweeps_run
-                            yield (kept, kept, info)
+                            yield (kept, kept, info, phase_info("warmup"))
                         continue
                     if sweep >= warmup + burn_in and (
                         sweep - warmup - burn_in
@@ -722,13 +722,19 @@ class CompiledSampler:
                         if callback is not None:
                             callback(kept, state)
                         kept += 1
-                        if kept - chunk_start >= chunk_size:
+                        # The last chunk waits for the loop to end, so
+                        # its digest covers the sweeps thinning runs
+                        # after the last kept draw.
+                        if (
+                            kept - chunk_start >= chunk_size
+                            and kept < num_samples
+                        ):
                             info = chunk_info()
-                            if warmup:
-                                info = info or {}
-                                info["__phase__"] = phase_info("sampling")
                             chunk_sweep_lo = sweeps_run
-                            yield (chunk_start, kept, info)
+                            yield (
+                                chunk_start, kept, info,
+                                phase_info("sampling"),
+                            )
                             chunk_start = kept
             except KeyboardInterrupt:
                 interrupted = True
@@ -738,11 +744,7 @@ class CompiledSampler:
             for upd, _ in adapters:
                 upd.detach_adapter()
         if kept > chunk_start:
-            info = chunk_info()
-            if warmup:
-                info = info or {}
-                info["__phase__"] = phase_info("sampling")
-            yield (chunk_start, kept, info)
+            yield (chunk_start, kept, chunk_info(), phase_info("sampling"))
         wall = time.perf_counter() - start
         if tracing:
             for sweep in range(start_sweep, sweeps_run):

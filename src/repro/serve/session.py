@@ -34,11 +34,8 @@ from repro.serve.checkpoint import (
     _safe_name,
 )
 from repro.serve.protocol import InferRequest, ProtocolError, coerce_values
-from repro.telemetry.flight import (
-    DEFAULT_CAPACITY,
-    DEFAULT_DIVERGENCE_WARN,
-    FlightRecorder,
-)
+from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
+from repro.telemetry.monitors import DEFAULT_DIVERGENCE_WARN
 from repro.telemetry.obslog import log_event, request_context
 from repro.telemetry.requests import ServiceMetrics
 
@@ -284,8 +281,8 @@ class InferenceService:
             if flight.record_chunk(chunk, worst_rhat=worst):
                 log_event(
                     "divergence.threshold", level="warning", rid=rid,
-                    rate=round(flight.divergence_rate, 4),
-                    threshold=flight.divergence_warn,
+                    rate=round(flight.divergence.rate, 4),
+                    threshold=flight.divergence.warn_rate,
                 )
             if progress_cb is not None:
                 progress_cb(self._progress_event(req, stream, chunk, kept))
@@ -392,7 +389,7 @@ class InferenceService:
 
         if stop_reason == "deadline":
             self._dump_flight(flight, "deadline", rid=rid)
-        elif flight.exceeded:
+        elif flight.divergence.exceeded:
             self._dump_flight(flight, "divergence", rid=rid)
 
         sweeps = sum(r.sweeps_run for r in results if r is not None)
@@ -412,7 +409,7 @@ class InferenceService:
             tune_cache_hit=tune_cache_hit,
             total_s=queue_wait + total_s,
             divergence_rate=(
-                flight.divergence_rate if flight.sweeps else None
+                flight.divergence.rate if flight.divergence.sweeps else None
             ),
         )
         log_event(
@@ -579,17 +576,15 @@ class InferenceService:
             "kept": list(kept),
             "requested": req.samples,
         }
+        phase = chunk.phase
+        if phase is not None:
+            event["phase"] = phase["phase"]
+            event["warmup_sweep"] = phase["sweep"]
+            event["warmup_total"] = phase["warmup"]
+            if phase["step_size"] is not None:
+                event["step_size"] = phase["step_size"]
         if chunk.info:
-            phase = chunk.info.get("__phase__")
-            if phase is not None:
-                event["phase"] = phase.get("phase")
-                event["warmup_sweep"] = phase.get("sweep")
-                event["warmup_total"] = phase.get("warmup")
-                if phase.get("step_size") is not None:
-                    event["step_size"] = phase["step_size"]
-            info = {k: v for k, v in chunk.info.items() if k != "__phase__"}
-            if info:
-                event["info"] = info
+            event["info"] = chunk.info
         if stream.monitor is not None:
             event["worst_rhat"] = stream.monitor.worst_rhat()
         return event

@@ -29,7 +29,7 @@ from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.metrics import Histogram, render_prometheus
 from repro.telemetry.monitors import (
     ConvergenceMonitor,
-    DivergenceMonitor,
+    DivergenceTally,
     OnlineEss,
     SplitRhat,
     Welford,
@@ -70,7 +70,7 @@ __all__ = [
     "CompileLedger",
     "ConvergenceMonitor",
     "Decision",
-    "DivergenceMonitor",
+    "DivergenceTally",
     "EventLog",
     "FlightRecorder",
     "Histogram",

@@ -24,26 +24,20 @@ import time
 import traceback as _traceback
 from collections import deque
 
+from repro.telemetry.monitors import DEFAULT_DIVERGENCE_WARN, DivergenceTally
+
 #: Ring capacity (chunks, across chains) when the caller does not choose.
 DEFAULT_CAPACITY = 64
-
-#: Default divergence-rate warning/dump threshold (matches
-#: :class:`~repro.telemetry.monitors.DivergenceMonitor`).
-DEFAULT_DIVERGENCE_WARN = 0.05
-
-#: Sweeps observed before the divergence rate is considered meaningful.
-MIN_DIVERGENCE_SWEEPS = 20
 
 
 class FlightRecorder:
     """Bounded ring of per-chunk stat digests for one request.
 
-    :meth:`record_chunk` also accumulates the request's running
-    divergence rate (divergent sweeps / total sweeps across all
-    updates and chains) and returns ``True`` exactly once — when the
-    rate first crosses ``divergence_warn`` with at least
-    :data:`MIN_DIVERGENCE_SWEEPS` sweeps observed — so the caller can
-    emit its single per-request WARNING.
+    :meth:`record_chunk` also feeds the request's
+    :class:`~repro.telemetry.monitors.DivergenceTally` (``divergence``)
+    and returns ``True`` exactly once, when the rate first crosses
+    ``divergence_warn``, so the caller can emit its single per-request
+    WARNING.
     """
 
     def __init__(
@@ -54,11 +48,8 @@ class FlightRecorder:
     ):
         self.request_id = request_id
         self.capacity = capacity
-        self.divergence_warn = divergence_warn
+        self.divergence = DivergenceTally(divergence_warn)
         self.created = time.time()
-        self.sweeps = 0
-        self.divergent = 0
-        self.exceeded = False
         self._entries: deque[dict] = deque(maxlen=capacity)
 
     # -- feeding -----------------------------------------------------------
@@ -67,23 +58,18 @@ class FlightRecorder:
         """Ingest one streamed chunk; returns ``True`` iff this chunk
         pushed the divergence rate over the threshold for the first
         time."""
+        phase = chunk.phase or {}
         entry = {
             "ts": round(time.time(), 6),
             "chain": chunk.chain,
             "start": chunk.start,
             "stop": chunk.stop,
-            "phase": "sampling",
-            "step_size": None,
+            "phase": phase.get("phase", "sampling"),
+            "step_size": phase.get("step_size"),
             "worst_rhat": _finite(worst_rhat),
             "stats": {},
         }
-        info = chunk.info or {}
-        for label, digest in info.items():
-            if label == "__phase__":
-                entry["phase"] = digest.get("phase") or "sampling"
-                if digest.get("step_size") is not None:
-                    entry["step_size"] = float(digest["step_size"])
-                continue
+        for label, digest in (chunk.info or {}).items():
             stats = {
                 k: _plain(v)
                 for k, v in digest.items()
@@ -93,25 +79,12 @@ class FlightRecorder:
                 )
             }
             entry["stats"][label] = stats
-            if stats.get("step_size") is not None:
-                entry["step_size"] = stats["step_size"]
-            self.divergent += int(stats.get("divergent") or 0)
-            self.sweeps += int(stats.get("n_sweeps") or 0)
+            if entry["step_size"] is None:
+                entry["step_size"] = stats.get("step_size")
         self._entries.append(entry)
-        if (
-            not self.exceeded
-            and self.sweeps >= MIN_DIVERGENCE_SWEEPS
-            and self.divergence_rate > self.divergence_warn
-        ):
-            self.exceeded = True
-            return True
-        return False
+        return self.divergence.observe(chunk.info)
 
     # -- reading -----------------------------------------------------------
-
-    @property
-    def divergence_rate(self) -> float:
-        return self.divergent / self.sweeps if self.sweeps else 0.0
 
     def snapshot(self) -> dict:
         """JSON-ready view of the ring and the divergence accounting."""
@@ -121,11 +94,11 @@ class FlightRecorder:
             "capacity": self.capacity,
             "entries": list(self._entries),
             "divergence": {
-                "rate": self.divergence_rate,
-                "divergent_sweeps": self.divergent,
-                "sweeps": self.sweeps,
-                "threshold": self.divergence_warn,
-                "exceeded": self.exceeded,
+                "rate": self.divergence.rate,
+                "divergent_sweeps": self.divergence.divergent,
+                "sweeps": self.divergence.sweeps,
+                "threshold": self.divergence.warn_rate,
+                "exceeded": self.divergence.exceeded,
             },
         }
 

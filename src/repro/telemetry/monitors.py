@@ -17,8 +17,10 @@ chains are still moving instead of after the fact:
   ``n * var(draws) / (b * var(batch means))`` with batch size ``b``.
   Coarser than the FFT autocorrelation estimator in ``eval.metrics``
   (which the final report uses) but O(1) per draw.
-- :class:`DivergenceMonitor` -- running divergence / NaN-reject rates
-  with a configurable warning threshold.
+- :class:`DivergenceTally` -- the one divergence / NaN-reject count
+  of a run, fed from streamed chunk digests, with the one-shot
+  warning threshold; the flight recorder, the ``--stream`` progress
+  line and :class:`ConvergenceMonitor` each hold one.
 - :class:`ConvergenceMonitor` -- composes the above per monitored
   scalar across chains and renders incremental progress lines and a
   final report.
@@ -131,20 +133,55 @@ class OnlineEss:
         return float(min(max(n / tau, 1.0), n))
 
 
-class DivergenceMonitor:
-    """Running divergence / NaN-reject rate for one update."""
+#: Default divergence-rate warning threshold.
+DEFAULT_DIVERGENCE_WARN = 0.05
 
-    def __init__(self, label: str, warn_rate: float = 0.05):
-        self.label = label
+#: Sweeps observed before a divergence rate is considered meaningful.
+MIN_SWEEPS = 20
+
+
+class DivergenceTally:
+    """Divergent sweeps of a run, counted from chunk digests.
+
+    Feed every :func:`~repro.telemetry.stats.chunk_stat_info` digest to
+    :meth:`observe`.  Only updates whose digest carries ``divergent``
+    (the gradient updates, HMC and NUTS) can diverge, so only their
+    sweeps enter the denominator: ``rate`` is divergent sweeps of
+    gradient updates over sweeps of gradient updates, across updates
+    and chains.  A Gibbs update composed with ``HMC mu`` therefore does
+    not dilute the rate.  NaN-rejected proposals are counted for every
+    update.
+    """
+
+    def __init__(self, warn_rate: float = DEFAULT_DIVERGENCE_WARN):
         self.warn_rate = warn_rate
-        self.sweeps = 0
         self.divergent = 0
+        self.sweeps = 0
         self.nan_rejects = 0
+        #: Per update label: ``[divergent, sweeps, nan_rejects]``
+        #: (``sweeps`` stays 0 for updates that cannot diverge).
+        self.per_update: dict[str, list[int]] = {}
+        self.exceeded = False
 
-    def update(self, divergent: bool = False, nan_rejects: int = 0) -> None:
-        self.sweeps += 1
-        self.divergent += int(bool(divergent))
-        self.nan_rejects += int(nan_rejects)
+    def observe(self, info) -> bool:
+        """Add one chunk digest (``None`` when stats are off); ``True``
+        exactly once, when the rate first exceeds ``warn_rate`` with at
+        least :data:`MIN_SWEEPS` sweeps observed."""
+        for label, digest in (info or {}).items():
+            counts = self.per_update.setdefault(label, [0, 0, 0])
+            nan = digest.get("nan_rejects", 0)
+            counts[2] += nan
+            self.nan_rejects += nan
+            if "divergent" in digest:
+                div, sweeps = digest["divergent"], digest.get("n_sweeps", 0)
+                counts[0] += div
+                counts[1] += sweeps
+                self.divergent += div
+                self.sweeps += sweeps
+        if self.exceeded or self.warning is None:
+            return False
+        self.exceeded = True
+        return True
 
     @property
     def rate(self) -> float:
@@ -152,12 +189,29 @@ class DivergenceMonitor:
 
     @property
     def warning(self) -> str | None:
-        if self.sweeps and self.rate > self.warn_rate:
+        """The warning text while the rate is over the threshold."""
+        if self.sweeps >= MIN_SWEEPS and self.rate > self.warn_rate:
             return (
-                f"{self.label}: divergence rate {self.rate:.1%} exceeds "
+                f"divergence rate {self.rate:.1%} exceeds "
                 f"{self.warn_rate:.0%} -- decrease the step size"
             )
         return None
+
+    def lines(self) -> list[str]:
+        """One report line per update that can diverge or NaN-rejected
+        a proposal."""
+        out = []
+        for label, (div, sweeps, nan) in self.per_update.items():
+            parts = []
+            if sweeps:
+                parts.append(
+                    f"divergence rate {div / sweeps:.1%} ({div}/{sweeps} sweeps)"
+                )
+            if nan:
+                parts.append(f"nan-rejects {nan}")
+            if parts:
+                out.append(f"  {label:20s} " + ", ".join(parts))
+        return out
 
 
 class ConvergenceMonitor:
@@ -168,17 +222,15 @@ class ConvergenceMonitor:
     :class:`OnlineEss` per chain.
 
     **Feeding protocol** — every executor of
-    :func:`repro.core.chains.stream_chains` drives the same three
-    calls, so the final monitor state is identical whichever executor
-    ran (the per-chain feed order is preserved and every accumulator is
+    :func:`repro.core.chains.stream_chains` drives the same two calls,
+    so the final monitor state is identical whichever executor ran (the
+    per-chain feed order is preserved and every accumulator is
     per-(chain, scalar)):
 
     1. :meth:`observe_chunk` (or :meth:`observe` per draw) as each
-       chain's kept draws become available, once per streamed chunk;
-    2. :meth:`observe_stats` once per chain with its
-       :class:`~repro.telemetry.stats.SampleStats` (divergence /
-       acceptance accounting);
-    3. :meth:`chain_done` once per chain (progress line).
+       chain's kept draws become available, once per streamed chunk,
+       with the chunk's stat digest for the :class:`DivergenceTally`;
+    2. :meth:`chain_done` once per chain (progress line).
 
     :meth:`converged` is the early-stopping predicate the streaming
     engine polls.
@@ -191,7 +243,7 @@ class ConvergenceMonitor:
         total_draws: int,
         max_components: int = 4,
         rhat_warn: float = 1.05,
-        divergence_warn: float = 0.05,
+        divergence_warn: float = DEFAULT_DIVERGENCE_WARN,
         emit=None,
     ):
         self.param_names = tuple(param_names)
@@ -199,15 +251,10 @@ class ConvergenceMonitor:
         self.total_draws = total_draws
         self.max_components = max_components
         self.rhat_warn = rhat_warn
-        self.divergence_warn = divergence_warn
+        self.divergence = DivergenceTally(divergence_warn)
         self.emit = emit  # callable(str) for incremental progress lines
         self._rhat: dict[str, SplitRhat] = {}
         self._ess: dict[str, list[OnlineEss]] = {}
-        self._divergence: dict[str, DivergenceMonitor] = {}
-        # Per-update acceptance-rate accumulators fed from the stats
-        # buffers: label -> [min, max, sum, count] over finite sweeps.
-        self._acceptance: dict[str, list[float]] = {}
-        self._div_alerted: set[str] = set()
         self._chains_done = 0
         #: Kept draws ingested so far, per chain (drives ``converged``).
         self._draws_seen = [0] * n_chains
@@ -244,46 +291,17 @@ class ConvergenceMonitor:
                 rh.update(chain, draw_index, value)
                 self._ess[key][chain].update(value)
 
-    def observe_stats(self, stats) -> None:
-        """Ingest one chain's :class:`~repro.telemetry.stats.SampleStats`."""
-        if stats is None:
-            return
-        for label in stats.update_labels:
-            cols = stats[label]
-            mon = self._divergence.get(label)
-            if mon is None:
-                mon = self._divergence[label] = DivergenceMonitor(
-                    label, self.divergence_warn
-                )
-            divergent = cols.get("divergent")
-            nan = cols.get("nan_rejects")
-            for i in range(stats.n_sweeps):
-                mon.update(
-                    divergent=bool(divergent[i]) if divergent is not None else False,
-                    nan_rejects=int(nan[i]) if nan is not None else 0,
-                )
-            rates = cols.get("accept_rate")
-            if rates is not None:
-                finite = rates[np.isfinite(rates)]
-                if finite.size:
-                    acc = self._acceptance.setdefault(
-                        label, [float("inf"), float("-inf"), 0.0, 0]
-                    )
-                    acc[0] = min(acc[0], float(finite.min()))
-                    acc[1] = max(acc[1], float(finite.max()))
-                    acc[2] += float(finite.sum())
-                    acc[3] += int(finite.size)
-        if self.emit is not None:
-            for w in self.new_divergence_warnings():
-                self.emit(f"WARNING: {w}")
-
     def observe_chunk(
-        self, chain: int, start: int, stop: int, samples: dict
+        self, chain: int, start: int, stop: int, samples: dict, info=None
     ) -> None:
         """Ingest kept draws ``start:stop`` of one chain from its draw
         storage (the streaming executors call this per posted chunk;
         dense parameters index straight into the shared-memory-backed
-        arrays, nothing is copied)."""
+        arrays, nothing is copied) and the chunk's stat digest ``info``
+        (a WARNING line the first time the divergence rate crosses the
+        threshold)."""
+        if self.divergence.observe(info) and self.emit is not None:
+            self.emit(f"WARNING: {self.divergence.warning}")
         for d in range(start, stop):
             state = {}
             for name in self.param_names:
@@ -325,22 +343,6 @@ class ConvergenceMonitor:
                 totals.append(sum(finite))
         return min(totals) if totals else float("nan")
 
-    def new_divergence_warnings(self) -> list[str]:
-        """Divergence warnings not yet returned by a previous call —
-        each update's threshold crossing is reported exactly once, so
-        callers can surface a single WARNING per run (console line,
-        ``divergence.threshold`` log event) instead of repeating it on
-        every poll."""
-        out = []
-        for label, mon in self._divergence.items():
-            if label in self._div_alerted:
-                continue
-            w = mon.warning
-            if w:
-                self._div_alerted.add(label)
-                out.append(w)
-        return out
-
     def warnings(self) -> list[str]:
         out = []
         worst = self.worst_rhat()
@@ -349,10 +351,8 @@ class ConvergenceMonitor:
                 f"split R-hat {worst:.3f} exceeds {self.rhat_warn} -- "
                 "chains have not converged"
             )
-        for mon in self._divergence.values():
-            w = mon.warning
-            if w:
-                out.append(w)
+        if self.divergence.warning:
+            out.append(self.divergence.warning)
         return out
 
     def progress_line(self) -> str:
@@ -365,16 +365,6 @@ class ConvergenceMonitor:
             f"worst split R-hat {rhat_s}, min ESS {ess_s}"
         )
 
-    def acceptance_summary(self) -> dict[str, tuple[float, float, float]]:
-        """Per-update acceptance ``(min, max, mean)`` over every finite
-        sweep observed via the stats buffers (matches
-        :func:`repro.telemetry.stats.acceptance_ranges` on the same
-        run, so console and report agree)."""
-        return {
-            label: (lo, hi, total / n if n else float("nan"))
-            for label, (lo, hi, total, n) in self._acceptance.items()
-        }
-
     def report(self) -> str:
         lines = ["online convergence report:"]
         for key in sorted(self._rhat):
@@ -386,16 +376,7 @@ class ConvergenceMonitor:
             ess_s = f"{ess:8.0f}" if math.isfinite(ess) else "     n/a"
             flag = "  <-- " if math.isfinite(r) and r > self.rhat_warn else ""
             lines.append(f"  {key:20s} split R-hat {rhat_s}  ESS {ess_s}{flag}")
-        for mon in self._divergence.values():
-            lines.append(
-                f"  {mon.label:20s} divergence rate {mon.rate:.1%}, "
-                f"nan-rejects {mon.nan_rejects}"
-            )
-        for label, (lo, hi, mean) in sorted(self.acceptance_summary().items()):
-            lines.append(
-                f"  {label:20s} accept mean {mean:.3f} "
-                f"(range {lo:.3f}-{hi:.3f})"
-            )
+        lines.extend(self.divergence.lines())
         warns = self.warnings()
         if warns:
             lines.extend(f"  WARNING: {w}" for w in warns)

@@ -5,10 +5,10 @@ carrying a leveled, dotted event name (``request.accepted``,
 ``chunk.emitted``, ``worker.died`` ...), the originating process id,
 and — when the event happened on behalf of a request — the request's
 correlation id (``rid``).  Because warm-pool workers capture their
-events in memory and ship them to the parent over the existing chunk
-drain path (the same scheme :class:`~repro.telemetry.trace.Tracer`
-uses for trace spans), one ``grep`` for a rid reconstructs a request
-end to end across every process that touched it.
+events in memory and ship them to the parent together with their trace
+spans (:class:`WorkerCapture`, one payload per result-queue message),
+one ``grep`` for a rid reconstructs a request end to end across every
+process that touched it.
 
 Like the tracer, logging is **off by default** and every emission
 point is one attribute check until :func:`configure_event_log` arms a
@@ -23,10 +23,11 @@ Three modes of one process-wide :class:`EventLog`:
   JSON-lines file under a lock and mirrored into a bounded in-memory
   ring, which post-mortem artifacts query by rid
   (:meth:`EventLog.recent`).
-- **capture mode** (pool workers): events accumulate in a bounded
-  buffer; :meth:`EventLog.drain_capture` takes them for shipping and
-  the parent's :meth:`EventLog.adopt` writes them out, preserving the
-  worker's pid and timestamps.
+- **capture mode** (pool workers, armed by :class:`WorkerCapture`):
+  events accumulate in a bounded buffer; :meth:`WorkerCapture.drain`
+  takes them with the worker's trace spans, and the parent's
+  :meth:`WorkerCapture.adopt` writes them out, preserving the worker's
+  pid and timestamps.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from repro.telemetry.trace import enable_tracing, get_tracer
 
 #: Numeric severities, syslog-style ordering.
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
@@ -120,8 +123,8 @@ class EventLog:
         self._sink = None
         self._sink_path: str | None = None
         self._owns_sink = False
-        self._capturing = False
-        self._capture: list[ObsEvent] = []
+        #: The worker capture buffer, ``None`` outside capture mode.
+        self._capture: list[ObsEvent] | None = None
         self._ring: deque[ObsEvent] = deque(maxlen=ring)
         self._lock = threading.Lock()
 
@@ -146,12 +149,12 @@ class EventLog:
                 self._owns_sink = False
             self.level = LEVELS[level]
             self.level_name = level
-            self.enabled = self._sink is not None or self._capturing
+            self.enabled = self._sink is not None or self._capture is not None
 
     def close(self) -> None:
         with self._lock:
             self._close_sink_locked()
-            self.enabled = self._capturing
+            self.enabled = self._capture is not None
 
     def _close_sink_locked(self) -> None:
         if self._sink is not None and self._owns_sink:
@@ -175,47 +178,10 @@ class EventLog:
         self._sink = None
         self._sink_path = None
         self._owns_sink = False
-        self._capturing = False
-        self._capture = []
+        self._capture = None
         self._ring.clear()
         self.enabled = False
         self._lock = threading.Lock()  # never carry a held parent lock
-
-    # -- worker capture ----------------------------------------------------
-
-    def begin_capture(self, level: str = "info") -> None:
-        """Switch to in-memory capture (pool worker side)."""
-        with self._lock:
-            self._capture = []
-            self._capturing = True
-            self.level = LEVELS.get(level, LEVELS["info"])
-            self.level_name = level
-            self.enabled = True
-
-    @property
-    def capturing(self) -> bool:
-        return self._capturing
-
-    def drain_capture(self) -> list[ObsEvent]:
-        """Atomically take (and clear) the captured events for shipping."""
-        with self._lock:
-            events, self._capture = self._capture, []
-        return events
-
-    def end_capture(self) -> None:
-        with self._lock:
-            self._capturing = False
-            self._capture = []
-            self.enabled = self._sink is not None
-
-    def adopt(self, events) -> None:
-        """Write events shipped from a worker process, preserving their
-        pid/timestamp/rid (parent side of the chunk drain path)."""
-        if not events:
-            return
-        with self._lock:
-            for e in events:
-                self._write_locked(e)
 
     # -- recording ---------------------------------------------------------
 
@@ -232,7 +198,7 @@ class EventLog:
             rid = _rid_var.get()
         e = ObsEvent(event, level, time.time(), rid, os.getpid(), fields)
         with self._lock:
-            if self._capturing:
+            if self._capture is not None:
                 if len(self._capture) >= CAPTURE_CAP:
                     self.dropped += 1
                     return
@@ -266,6 +232,77 @@ class EventLog:
 
 #: The process-wide event log every emission point reports to.
 _log = EventLog()
+
+
+class WorkerCapture:
+    """The one cross-process telemetry channel, from a pool worker to
+    the process that owns its pool.
+
+    A worker opens one capture per chain task with the parent's
+    :meth:`wanted` settings: it turns on this process's tracer if the
+    parent traces, and switches the event log to its in-memory buffer
+    if the parent logs.  :meth:`drain` takes the spans and log events
+    recorded since the previous drain as one payload ``(spans,
+    events)``; each result-queue message carries one, and the parent
+    merges it with one :meth:`adopt` call.  Adopted records keep the
+    worker's pid, their timestamps and their rid.  With both kinds off
+    the capture is inert: :meth:`drain` returns ``None`` after one
+    check, taking no lock and building no list.
+    """
+
+    def __init__(self, trace: bool = False, level: str | None = None):
+        self._trace = trace
+        self._events = level is not None
+        self._active = trace or self._events
+        if trace:
+            enable_tracing()
+        if self._events:
+            with _log._lock:
+                _log._capture = []
+                _log.level = LEVELS.get(level, LEVELS["info"])
+                _log.level_name = level
+                _log.enabled = True
+
+    @staticmethod
+    def wanted() -> tuple[bool, str | None]:
+        """Parent side: the ``(trace, level)`` a worker should capture
+        for this process (``level`` is ``None`` while the log is off)."""
+        return get_tracer().enabled, _log.level_name if _log.enabled else None
+
+    def drain(self):
+        """Take everything captured since the last drain as one payload
+        (``None`` when nothing is captured)."""
+        if not self._active:
+            return None
+        spans = get_tracer().drain_events() if self._trace else []
+        events = []
+        if self._events:
+            with _log._lock:
+                events, _log._capture = _log._capture, []
+        return spans, events
+
+    def close(self) -> None:
+        """End the capture; whatever was not drained is dropped."""
+        if self._trace:
+            get_tracer().disable()
+        if self._events:
+            with _log._lock:
+                _log._capture = None
+                _log.enabled = _log._sink is not None
+
+    @staticmethod
+    def adopt(payload) -> None:
+        """Parent side: merge one :meth:`drain` payload into this
+        process's tracer and event log."""
+        if payload is None:
+            return
+        spans, events = payload
+        if spans:
+            get_tracer().adopt(spans)
+        if events:
+            with _log._lock:
+                for e in events:
+                    _log._write_locked(e)
 
 
 def get_event_log() -> EventLog:

@@ -3,16 +3,18 @@
 :class:`StreamProgress` renders a single carriage-return-refreshed
 status line while a :class:`~repro.core.chains.ChainStream` is
 iterated: per-chain kept draws, aggregate draws/s, the monitor's
-current worst split R-hat, and the divergence/acceptance digest riding
-in each chunk's ``info``.  It is TTY-only by design — the CLI falls
-back to plain per-chunk lines when stderr is redirected, so logs stay
-greppable.
+current worst split R-hat, the divergence/acceptance digest riding
+in each chunk's ``info`` and the warmup progress in its ``phase``.
+It is TTY-only by design — the CLI falls back to plain per-chunk lines
+when stderr is redirected, so logs stay greppable.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+
+from repro.telemetry.monitors import DEFAULT_DIVERGENCE_WARN, DivergenceTally
 
 
 def _fmt_rhat(value) -> str:
@@ -41,7 +43,7 @@ class StreamProgress:
         total_draws: int,
         out=None,
         clock=time.monotonic,
-        divergence_warn: float = 0.05,
+        divergence_warn: float = DEFAULT_DIVERGENCE_WARN,
     ):
         self.n_chains = n_chains
         self.total = total_draws
@@ -49,11 +51,7 @@ class StreamProgress:
         self._clock = clock
         self._start = clock()
         self.kept = [0] * n_chains
-        self.divergent = 0
-        self.nan_rejects = 0
-        self.sweeps = 0
-        self.divergence_warn = divergence_warn
-        self._div_warned = False
+        self.divergence = DivergenceTally(divergence_warn)
         self._accept_last: float | None = None
         self._step_size: float | None = None
         self._phase: str | None = None
@@ -67,18 +65,7 @@ class StreamProgress:
         self.kept[chunk.chain] = chunk.stop
         if chunk.info:
             accepts = []
-            for key, entry in chunk.info.items():
-                if key == "__phase__":
-                    self._phase = entry.get("phase")
-                    if entry.get("step_size") is not None:
-                        self._step_size = entry["step_size"]
-                    if self._phase == "warmup":
-                        self._warmup_sweep[chunk.chain] = entry.get("sweep", 0)
-                        self._warmup_total = entry.get("warmup", 0)
-                    continue
-                self.divergent += entry.get("divergent", 0)
-                self.nan_rejects += entry.get("nan_rejects", 0)
-                self.sweeps += entry.get("n_sweeps", 0)
+            for entry in chunk.info.values():
                 if entry.get("step_size") is not None:
                     self._step_size = entry["step_size"]
                 rate = entry.get("accept_rate")
@@ -86,25 +73,21 @@ class StreamProgress:
                     accepts.append(rate)
             if accepts:
                 self._accept_last = sum(accepts) / len(accepts)
-        self._warn_divergence()
-        self._render(monitor)
-
-    def _warn_divergence(self) -> None:
-        """One WARNING line per run when the running divergence rate
-        first crosses the threshold (20+ sweeps so early noise doesn't
-        trip it)."""
-        if self._div_warned or self.sweeps < 20:
-            return
-        rate = self.divergent / self.sweeps
-        if rate > self.divergence_warn:
-            self._div_warned = True
-            msg = (
-                f"WARNING: divergence rate {rate:.1%} exceeds "
-                f"{self.divergence_warn:.0%} -- decrease the step size"
-            )
+        phase = chunk.phase
+        if phase is not None:
+            self._phase = phase["phase"]
+            if phase["step_size"] is not None:
+                self._step_size = phase["step_size"]
+            if self._phase == "warmup":
+                self._warmup_sweep[chunk.chain] = phase["sweep"]
+                self._warmup_total = phase["warmup"]
+        if self.divergence.observe(chunk.info):
+            # One WARNING line per run, when the rate first crosses.
+            msg = f"WARNING: {self.divergence.warning}"
             pad = max(0, self._width - len(msg))
             self.out.write("\r" + msg + " " * pad + "\n")
             self._width = 0
+        self._render(monitor)
 
     def close(self) -> None:
         self.out.write("\n")
@@ -142,10 +125,10 @@ class StreamProgress:
             line += f" | accept {self._accept_last:.2f}"
         if self._step_size is not None:
             line += f" | step {self._step_size:.3g}"
-        if self.divergent:
-            line += f" | divergent {self.divergent}"
-        if self.nan_rejects:
-            line += f" | nan-rejects {self.nan_rejects}"
+        if self.divergence.divergent:
+            line += f" | divergent {self.divergence.divergent}"
+        if self.divergence.nan_rejects:
+            line += f" | nan-rejects {self.divergence.nan_rejects}"
         pad = max(0, self._width - len(line))
         self._width = len(line)
         self.out.write("\r" + line + " " * pad)

@@ -115,14 +115,6 @@ class SampleStats:
 
     # -- convenience reductions used by the CLI report ---------------------
 
-    def divergence_rate(self, label: str) -> float:
-        """Fraction of sweeps flagged divergent (0 if not an HMC-family
-        update)."""
-        cols = self._buffers[label].columns
-        if "divergent" not in cols:
-            return 0.0
-        return float(np.mean(cols["divergent"] > 0))
-
     def summary_lines(self) -> list[str]:
         """One human-readable line per update."""
         lines = []
@@ -175,8 +167,9 @@ def chunk_stat_info(
     This is the ``info`` payload that rides on every streamed chunk
     (``ChainChunk.info``): acceptance over the chunk's sweeps plus
     divergence / NaN-reject counts, so streaming consumers (the
-    ``--stream`` progress display, the inference service) can report
-    sampler health live instead of only at the end of the run.
+    ``--stream`` progress display, the inference service, and the
+    :class:`~repro.telemetry.monitors.DivergenceTally` each holds) can
+    report sampler health live instead of only at the end of the run.
     """
     out: dict[str, dict[str, float]] = {}
     for buf in buffers:

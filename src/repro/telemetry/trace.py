@@ -21,7 +21,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -118,38 +118,20 @@ class Tracer:
 
     # -- cross-process merging --------------------------------------------
 
-    def export_events(self) -> list[TraceEvent]:
-        """The collected events, pid-stamped for shipping to a parent
-        process (worker side of the multi-chain trace merge)."""
-        pid = os.getpid()
-        out = []
-        for e in self.events:
-            if e.pid == 0:
-                e = TraceEvent(
-                    e.name, e.cat, e.ts, e.dur, e.phase, e.tid, e.args, pid
-                )
-            out.append(e)
-        return out
-
     def drain_events(self) -> list[TraceEvent]:
-        """Atomically take (and clear) the collected events, pid-stamped.
+        """Atomically take (and clear) the collected events, pid-stamped
+        for shipping to a parent process.
 
-        The per-chunk variant of :meth:`export_events`: pool workers
-        drain after every chunk so trace events stream to the parent
-        incrementally instead of piling up until the chain ends, and a
-        later drain never re-ships what an earlier one already sent.
+        Pool workers drain with every result-queue message
+        (:class:`~repro.telemetry.obslog.WorkerCapture`), so spans
+        stream to the parent incrementally instead of piling up until
+        the chain ends, and a later drain never re-ships what an
+        earlier one already sent.
         """
         with self._lock:
             events, self._events = self._events, []
         pid = os.getpid()
-        out = []
-        for e in events:
-            if e.pid == 0:
-                e = TraceEvent(
-                    e.name, e.cat, e.ts, e.dur, e.phase, e.tid, e.args, pid
-                )
-            out.append(e)
-        return out
+        return [e if e.pid else replace(e, pid=pid) for e in events]
 
     def adopt(self, events: list[TraceEvent]) -> None:
         """Merge events shipped from a worker process into this tracer.

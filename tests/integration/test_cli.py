@@ -106,6 +106,12 @@ def test_sample_chains_with_monitor_and_stats(gmm_files, capsys):
     assert "online convergence report" in captured.out
     assert "split R-hat" in captured.out
     assert "cross-chain per-sweep means" in captured.out
+    # Each update's acceptance range prints once, not once per flag.
+    labels = [
+        " ".join(line.split()[:2])  # "<kind> <variable>"
+        for line in captured.out.splitlines() if "(range " in line
+    ]
+    assert labels and len(labels) == len(set(labels))
     # Incremental progress lines stream to stderr as chains finish.
     assert captured.err.count("[monitor]") == 2
 

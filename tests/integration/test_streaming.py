@@ -4,6 +4,7 @@ interrupt finalization, and the warm pool."""
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +268,46 @@ def test_chunks_have_no_info_without_stats(nn_sampler):
     assert all(c.info is None for c in stream)
 
 
+# -- worker failures --------------------------------------------------------
+
+
+def test_worker_error_ships_its_event_and_fails_the_run(nn_sampler, tmp_path):
+    import json
+
+    from repro.errors import RuntimeFailure
+    from repro.telemetry.obslog import (
+        configure_event_log,
+        get_event_log,
+        request_context,
+    )
+
+    log_path = tmp_path / "events.jsonl"
+    configure_event_log(path=str(log_path), level="info")
+    try:
+        with request_context("bad-1"), pytest.raises(
+            RuntimeFailure, match="failed in worker: RuntimeFailure: cannot"
+        ):
+            nn_sampler.sample_chains(
+                2, num_samples=5, collect=("nope",), executor="processes",
+                n_workers=2,
+            )
+    finally:
+        get_event_log().close()
+    # Each error message carried its worker's chain.error event, stamped
+    # with the worker's pid and the request's rid.
+    errors = [
+        r for r in map(json.loads, open(log_path))
+        if r["event"] == "chain.error"
+    ]
+    assert sorted(r["chain"] for r in errors) == [0, 1]
+    assert all(r["pid"] != os.getpid() and r["rid"] == "bad-1" for r in errors)
+    # The workers shipped the error instead of dying: the pool still runs.
+    results = nn_sampler.sample_chains(
+        2, num_samples=5, executor="processes", n_workers=2
+    )
+    assert [r.n_kept for r in results] == [5, 5]
+
+
 # -- warm-pool retirement vs in-flight runs ---------------------------------
 
 
@@ -365,3 +406,46 @@ def test_pool_forked_under_the_tracker_lock_finishes(run_isolated):
     code, out, err = run_isolated(TRACKER_LOCK_SCRIPT, timeout=60)
     assert code == 0, err
     assert out.strip() == "ok"
+
+
+ORPHAN_SCRIPT = _NN_SCRIPT + """
+import os, signal, time
+
+read_fd, write_fd = os.pipe()
+owner = os.fork()
+if owner == 0:  # the pool's owner: spawn two workers, report, then wait
+    pool = get_worker_pool(nn_sampler(0).spec, 2)
+    os.write(write_fd, " ".join(map(str, pool.pids())).encode() + b"\\n")
+    time.sleep(120)
+    os._exit(0)
+with os.fdopen(read_fd) as f:
+    pids = [int(p) for p in f.readline().split()]
+os.kill(owner, signal.SIGKILL)
+os.waitpid(owner, 0)
+
+def running(pid):
+    # A zombie counts as gone: the pid that adopts an orphan need not
+    # reap it.
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+deadline = time.monotonic() + 20
+while any(map(running, pids)) and time.monotonic() < deadline:
+    time.sleep(0.1)
+print("orphaned" if any(map(running, pids)) else "gone")
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
+)
+def test_pool_workers_exit_when_their_owner_dies(run_isolated):
+    # A kill -9 of the process holding a warm pool sends no shutdown
+    # sentinel: its workers must notice and exit instead of living on
+    # with the dead owner's pipes and sockets open.
+    code, out, err = run_isolated(ORPHAN_SCRIPT)
+    assert code == 0, err
+    assert out.strip() == "gone"

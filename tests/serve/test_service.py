@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import copy
+import io
 
 import numpy as np
 import pytest
 
+from repro.core.compiler import compile_model
+from repro.eval import models
 from repro.serve.protocol import ProtocolError, parse_infer_request
 from repro.serve.session import InferenceService, summarize_chains
+from repro.telemetry.progress import StreamProgress
+from tests.serve.conftest import HYPERS, make_y
 
 
 @pytest.fixture
@@ -163,6 +168,58 @@ def test_progress_events_carry_chunk_info(service, nn_payload):
     assert chunk_infos, "chunks should carry per-update stat digests"
     entry = next(iter(chunk_infos[0].values()))
     assert "accept_rate" in entry and "n_proposed" in entry
+
+
+def test_warmup_phase_reaches_every_consumer(service, nn_payload):
+    # NUTS with warmup on the pool, chunks shorter than half the warmup:
+    # the phase rides on each chunk beside its stat digest, and every
+    # consumer reports it in its own format.
+    warmup, samples, chunk = 12, 8, 4
+    sampler = compile_model(
+        models.NORMAL_NORMAL, HYPERS, {"y": make_y()}, schedule="NUTS mu"
+    )
+    stream = sampler.stream_chains(
+        2, samples, seed=3, warmup=warmup, collect_stats=True,
+        chunk_size=chunk, executor="processes", n_workers=2,
+    )
+    out = io.StringIO()
+    progress = StreamProgress(2, samples, out=out, clock=lambda: 1.0)
+    chunks = []
+    for c in stream:
+        chunks.append(c)
+        progress.update(c)
+    # (a) zero-width warmup chunks carry the phase, not the digest.
+    warm = [c for c in chunks if c.phase["phase"] == "warmup"]
+    assert len(warm) == 2 * (warmup // chunk)
+    assert all(c.start == c.stop for c in warm)
+    assert all(c.phase["warmup"] == warmup for c in chunks)
+    assert all(set(c.info) == {"NUTS mu"} for c in chunks)
+    assert {c.phase["phase"] for c in chunks} == {"warmup", "sampling"}
+    # (d) the TTY progress line showed the warmup.
+    assert f"[stream] warmup c0:{warmup}/{warmup}" in out.getvalue()
+
+    payload = copy.deepcopy(nn_payload)
+    payload["request_id"] = "warm"
+    payload["query"].update(
+        schedule="NUTS mu", warmup=warmup, samples=samples,
+        chunk_size=chunk, executor="processes",
+    )
+    events = []
+    resp = _handle(service, payload, progress_cb=events.append)
+    assert resp["complete"] is True
+    # (b) service progress events.
+    warm_events = [e for e in events if e.get("phase") == "warmup"]
+    assert len(warm_events) == 2 * (warmup // chunk)
+    for e in warm_events:
+        assert e["warmup_total"] == warmup
+        assert 0 < e["warmup_sweep"] <= warmup
+        assert e["step_size"] > 0
+        assert set(e["info"]) == {"NUTS mu"}
+    assert events[-1]["phase"] == "sampling"
+    # (c) flight recorder entries.
+    entries = service.flight_record("warm")["entries"]
+    assert {e["phase"] for e in entries} == {"warmup", "sampling"}
+    assert all(e["step_size"] > 0 for e in entries)
 
 
 def test_report_artifact_written(service, nn_payload, tmp_path):

@@ -11,7 +11,7 @@ from repro.eval import models
 from repro.eval.metrics import potential_scale_reduction, split_chains
 from repro.telemetry.monitors import (
     ConvergenceMonitor,
-    DivergenceMonitor,
+    DivergenceTally,
     OnlineEss,
     SplitRhat,
     Welford,
@@ -115,18 +115,47 @@ def test_online_ess_warmup_is_nan():
     assert np.isnan(ess.ess())  # only one full batch so far
 
 
-# -- divergence monitor ----------------------------------------------------
+# -- divergence tally ------------------------------------------------------
 
 
-def test_divergence_monitor_threshold():
-    mon = DivergenceMonitor("HMC mu", warn_rate=0.1)
-    for i in range(20):
-        mon.update(divergent=(i % 4 == 0), nan_rejects=0)
-    assert mon.rate == pytest.approx(0.25)
-    assert "decrease the step size" in mon.warning
-    quiet = DivergenceMonitor("HMC mu", warn_rate=0.5)
-    quiet.update(divergent=False)
+def _digest(divergent=None, n_sweeps=5, nan_rejects=0):
+    entry = {"accept_rate": 0.8, "nan_rejects": nan_rejects,
+             "n_sweeps": n_sweeps}
+    if divergent is not None:
+        entry["divergent"] = divergent
+    return entry
+
+
+def test_divergence_tally_threshold():
+    tally = DivergenceTally(warn_rate=0.1)
+    fired = [
+        tally.observe({"HMC mu": _digest(divergent=d)}) for d in (1, 1, 1, 2)
+    ]
+    assert tally.rate == pytest.approx(0.25)
+    # One crossing, reported once, and only from MIN_SWEEPS sweeps on.
+    assert fired == [False, False, False, True]
+    assert tally.exceeded
+    assert "decrease the step size" in tally.warning
+    quiet = DivergenceTally(warn_rate=0.5)
+    quiet.observe({"HMC mu": _digest(divergent=0)})
     assert quiet.warning is None
+
+
+def test_divergence_tally_counts_only_updates_that_can_diverge():
+    tally = DivergenceTally()
+    for _ in range(4):
+        tally.observe({
+            "HMC mu": _digest(divergent=5),
+            "Gibbs z": _digest(nan_rejects=1),
+        })
+    assert (tally.divergent, tally.sweeps, tally.rate) == (20, 20, 1.0)
+    assert tally.nan_rejects == 4
+    assert tally.per_update == {"HMC mu": [20, 20, 0], "Gibbs z": [0, 0, 4]}
+    assert tally.lines() == [
+        f"  {'HMC mu':20s} divergence rate 100.0% (20/20 sweeps)",
+        f"  {'Gibbs z':20s} nan-rejects 4",
+    ]
+    assert tally.observe(None) is False  # stats off: nothing to count
 
 
 # -- the composed ConvergenceMonitor over real chains ----------------------
@@ -166,8 +195,10 @@ def test_monitor_streams_during_sequential_chains(nn_sampler):
     assert monitor.warnings() == []
     report = monitor.report()
     assert "mu" in report and "all monitors within thresholds" in report
-    # Stats flowed into the divergence monitors too.
-    assert "Gibbs mu" in report
+    # Chunk digests flowed into the divergence tally too; Gibbs cannot
+    # diverge, so it adds no sweeps and no report line.
+    assert monitor.divergence.per_update == {"Gibbs mu": [0, 0, 0]}
+    assert "Gibbs mu" not in report
 
 
 def test_parallel_monitor_agrees_with_sequential(nn_sampler):

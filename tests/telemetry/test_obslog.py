@@ -1,4 +1,4 @@
-"""The structured event log: levels, correlation ids, capture/adopt."""
+"""The structured event log: levels, correlation ids, the worker capture."""
 
 from __future__ import annotations
 
@@ -10,10 +10,18 @@ import pytest
 
 from repro.telemetry.obslog import (
     EventLog,
+    WorkerCapture,
+    configure_event_log,
     current_rid,
     get_event_log,
     log_event,
     request_context,
+)
+from repro.telemetry.trace import (
+    disable_tracing,
+    enable_tracing,
+    span,
+    tracing_enabled,
 )
 
 
@@ -92,35 +100,56 @@ def test_file_sink_appends_parseable_lines(tmp_path):
 
 
 def test_capture_drain_adopt_round_trip():
-    worker = EventLog()
-    worker.begin_capture(level="info")
-    worker.log("chunk.emitted", rid="r9", chain=0, start=0, stop=5)
-    worker.log("chain.finished", rid="r9", chain=0, kept=5)
-    shipped = worker.drain_capture()
-    assert worker.drain_capture() == []  # drain empties the buffer
-    worker.end_capture()
-    assert not worker.enabled
+    worker = WorkerCapture(trace=True, level="info")
+    try:
+        with span("sweep", cat="runtime"):
+            log_event("chunk.emitted", rid="r9", chain=0, start=0, stop=5)
+        log_event("chain.finished", rid="r9", chain=0, kept=5)
+        payload = worker.drain()
+        assert worker.drain() == ([], [])  # drain empties both buffers
+    finally:
+        worker.close()
+    assert not get_event_log().enabled and not tracing_enabled()
+    spans, events = payload
+    assert [(e.name, e.pid) for e in spans] == [("sweep", os.getpid())]
 
     buf = io.StringIO()
-    parent = EventLog()
-    parent.configure(stream=buf)
-    parent.adopt(shipped)
+    configure_event_log(stream=buf)
+    tracer = enable_tracing()
+    try:
+        WorkerCapture.adopt(payload)  # one call adopts both kinds
+        assert [e.name for e in tracer.events] == ["sweep"]
+    finally:
+        disable_tracing()
+        tracer.reset()
     recs = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert [r["event"] for r in recs] == ["chunk.emitted", "chain.finished"]
     assert all(r["rid"] == "r9" for r in recs)
-    assert parent.recent(rid="r9")  # adopted events enter the ring
+    assert get_event_log().recent(rid="r9")  # adopted events enter the ring
+
+
+def test_capture_is_inert_when_parent_neither_traces_nor_logs():
+    assert WorkerCapture.wanted() == (False, None)
+    worker = WorkerCapture(*WorkerCapture.wanted())
+    log_event("chunk.emitted", chain=0)
+    assert worker.drain() is None
+    worker.close()
+    assert not get_event_log().enabled and not tracing_enabled()
 
 
 def test_capture_buffer_is_bounded():
-    log = EventLog()
-    log.begin_capture()
     from repro.telemetry import obslog
 
-    for i in range(obslog.CAPTURE_CAP + 10):
-        log.log("chunk.emitted", chain=0, start=i, stop=i + 1)
-    assert len(log.drain_capture()) == obslog.CAPTURE_CAP
-    assert log.dropped == 10
-    log.end_capture()
+    dropped = get_event_log().dropped
+    worker = WorkerCapture(level="info")
+    try:
+        for i in range(obslog.CAPTURE_CAP + 10):
+            log_event("chunk.emitted", chain=0, start=i, stop=i + 1)
+        spans, events = worker.drain()
+    finally:
+        worker.close()
+    assert spans == [] and len(events) == obslog.CAPTURE_CAP
+    assert get_event_log().dropped - dropped == 10
 
 
 def test_ring_is_bounded_and_filterable():

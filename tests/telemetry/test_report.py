@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.core.compiler import compile_model
 from repro.eval import models
-from repro.telemetry.monitors import ConvergenceMonitor
 from repro.telemetry.report import render_html, report_data, write_report
 from repro.telemetry.stats import acceptance_ranges
 
@@ -88,18 +87,3 @@ def test_acceptance_ranges_cover_all_chains():
     assert lo == hi == mean == 1.0  # Gibbs always accepts
     lo, hi, mean = ranges["MH mu"]
     assert 0.0 <= lo <= mean <= hi <= 1.0
-
-
-def test_monitor_summary_agrees_with_stats_ranges():
-    sampler = gmm_sampler()
-    monitor = ConvergenceMonitor(("mu",), n_chains=2, total_draws=15)
-    results = sampler.sample_chains(
-        2, num_samples=15, seed=2, collect_stats=True, monitor=monitor
-    )
-    summary = monitor.acceptance_summary()
-    ranges = acceptance_ranges(results)
-    assert set(summary) == set(ranges)
-    for label in ranges:
-        np.testing.assert_allclose(summary[label], ranges[label])
-    text = monitor.report()
-    assert "accept mean" in text and "range" in text

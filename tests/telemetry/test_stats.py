@@ -9,8 +9,6 @@ from repro.core.compiler import compile_model
 from repro.eval import models
 from repro.telemetry.stats import (
     BASE_FIELDS,
-    SampleStats,
-    StatField,
     UpdateStatsBuffer,
     allocate_stat_buffers,
     stack_chain_stats,
@@ -143,16 +141,6 @@ def test_buffer_write_ignores_unknown_fields():
     buf = UpdateStatsBuffer("u", BASE_FIELDS, 2)
     buf.write(0, {"accept_rate": 0.25, "not_a_field": 9.0})
     assert buf["accept_rate"][0] == 0.25
-
-
-def test_divergence_rate_reduction():
-    buf = UpdateStatsBuffer(
-        "HMC mu", BASE_FIELDS + (StatField("divergent", "i8"),), 4
-    )
-    buf["divergent"][:] = [0, 1, 0, 1]
-    stats = SampleStats([buf], burn_in=0, thin=1)
-    assert stats.divergence_rate("HMC mu") == pytest.approx(0.5)
-    assert stats.divergence_rate("HMC mu") >= 0.0
 
 
 def test_stack_chain_stats_shapes_and_empty_case():

@@ -168,14 +168,15 @@ def test_process_executor_merges_worker_traces(tracing, tmp_path):
     assert len(pids) >= 2  # parent row + at least one worker row
 
 
-def test_export_events_stamps_own_pid():
+def test_drain_events_stamps_own_pid():
     import os
 
     t = Tracer()
     t.enable()
     t.instant("local")
-    shipped = t.export_events()
+    shipped = t.drain_events()
     assert [e.pid for e in shipped] == [os.getpid()]
+    assert t.events == []  # a drain never re-ships what it sent
     # adopt() appends even onto a disabled tracer's recording predicate
     # -- the parent decides by enabling before the run.
     t2 = Tracer()
