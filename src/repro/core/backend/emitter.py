@@ -8,10 +8,30 @@ whole-array NumPy statements with the batch axis first.  Two modes:
 
 - **single mode** -- one parallel loop; the loop variable becomes an
   index vector ``np.arange(lo, hi)``;
-- **ragged-pair mode** -- a parallel loop whose body is exactly one
-  parallel loop with a dependent bound (``d`` over documents, ``j``
-  over ``N[d]`` tokens); the pair collapses onto the flattened token
-  axis, using the flattened ragged-array representation of Section 6.2.
+- **nest mode** -- a parallel loop whose body is exactly one parallel
+  loop.  The nest's rows lie end to end on one flattened batch axis and
+  ``X[v1][v2]`` reads one flat view of ``X``.  The inner bound may
+  depend on the outer variable (``d`` over documents, ``j`` over
+  ``N[d]`` tokens: the flattened ragged-array representation of
+  Section 6.2) or not (a rectangular nest, ``J`` lanes per row).
+
+In a rectangular nest, a reduction whose target cell is fixed within a
+row (``acc += e``, ``ws[n] += e``, ``buckets[idx[n]] += e``) is summed
+per row on a C-contiguous ``(rows, J)`` view and then added to its
+target one row after another.  That is bitwise what the loop over the
+rows computed, a vector sum per row and a Python-level accumulation
+across rows; one NumPy sum over the whole batch would group the
+additions differently.  Every other statement -- element stores,
+reductions keyed by the inner variable, draws -- already runs in the
+loop's element order.  A rectangular nest whose result that form cannot
+reproduce bitwise is declined: a guarded reduction into a row's cell
+(the loop summed the guarded lanes compacted), or an increment target
+or the RNG updated more than once per row (the loop interleaves their
+updates row by row).  A rectangular nest runs its rows in blocks of
+about ``vops.NEST_BLOCK`` lanes, each block carrying on where the last
+stopped, so its lane arrays stay small and its results do not depend on
+the block size.  A ragged nest sums its whole batch at once, as it
+always has.
 
 Statements the vectoriser cannot express raise
 :class:`VectorizeFailure` and the emitter falls back to a plain Python
@@ -37,6 +57,7 @@ from repro.core.exprs import (
     IntLit,
     RealLit,
     Var,
+    free_vars,
     walk,
 )
 from repro.core.lowpp.ir import (
@@ -221,9 +242,23 @@ class _VecCtx:
     pair_vars: tuple[str, str] | None = None
     bn: str = "_bn"
     bpos: str = "_bpos"
+    #: A rectangular nest's ``(lo, hi, cols)`` codes: the outer range and
+    #: the row length.  ``None`` for a single loop and a ragged nest.
+    rect: tuple[str, str, str] | None = None
+    #: Names whose value varies within a row of a rectangular nest: the
+    #: inner loop variable and the temps computed from it.
+    in_row: set[str] = field(default_factory=set)
 
     def is_batch_name(self, name: str) -> bool:
         return name in self.bindings or self.kinds.get(name, False)
+
+    def bind(self, name: str, batch: bool, rhs: Expr) -> None:
+        """Record a temp's batch-ness and whether it varies within a row."""
+        self.kinds[name] = batch
+        if free_vars(rhs) & self.in_row:
+            self.in_row.add(name)
+        else:
+            self.in_row.discard(name)
 
 
 class VecEmitter:
@@ -265,13 +300,22 @@ class VecEmitter:
                 raise VectorizeFailure(f"cannot vectorise {e!r}")
 
     def _pair_prefix(self, e: Expr) -> str | None:
-        """Detect ``X[v1][v2]`` under ragged-pair mode -> flat view code."""
-        if self.ctx.pair_vars is None:
+        """Detect ``X[v1][v2]`` under nest mode -> flat view code."""
+        ctx = self.ctx
+        if ctx.pair_vars is None:
             return None
-        v1, v2 = self.ctx.pair_vars
         match e:
-            case Index(Index(Var(name), Var(i1)), Var(i2)) if (i1, i2) == (v1, v2):
-                return f"_vops.pair_flat({mangle(name)})"
+            case Index(Index(Var(name), Var(i1)), Var(i2)) if (
+                (i1, i2) == ctx.pair_vars and not ctx.is_batch_name(name)
+            ):
+                if ctx.rect is None:
+                    return f"_vops.pair_flat({mangle(name)})"
+                if name in self.ragged:
+                    raise VectorizeFailure(
+                        f"rectangular nest over ragged array {name!r}"
+                    )
+                lo, hi, cols = ctx.rect
+                return f"_vops.rect_flat({mangle(name)}, {lo}, {hi}, {cols})"
         return None
 
     def _vx_index(self, e: Index) -> tuple[str, bool]:
@@ -329,7 +373,7 @@ class VecEmitter:
                 names = ", ".join(mangle(lv.name) for lv in lhs)
                 self.sb.emit(f"{names} = {code}")
                 for lv in lhs:
-                    self.ctx.kinds[lv.name] = batch
+                    self.ctx.bind(lv.name, batch, rhs)
             case SIf(cond, then, els):
                 self._guard(cond, then, els, mask)
             case SLoop(kind, gen, body):
@@ -364,8 +408,55 @@ class VecEmitter:
         sep = ", " if args else ""
         return f"_d_{e.dist}.sample(_rng, {args}{sep}size={self.ctx.bn})", True
 
+    def _row_reduce(self, s: SAssign, mask: str | None) -> bool:
+        """Emit a rectangular nest's reduction whose target cell is fixed
+        within each row; False when ``s`` is not one.
+
+        The loop over the rows that this nest replaces summed each row's
+        contributions with one :func:`vops.vsum` and added the row totals
+        to the target in row order.  Both steps are kept: the per-row
+        totals come from :func:`vops.rowsum`, and ``np.add.at`` (indexed
+        target) or :func:`vops.fold_rows` (fixed cell) adds them row by
+        row.  Summing the whole batch at once would group the additions
+        differently and change the result in its last bits.
+        """
+        ctx = self.ctx
+        if ctx.rect is None or s.op is not AssignOp.INC:
+            return False
+        if any(free_vars(i) & ctx.in_row for i in s.lhs.indices):
+            return False
+        if mask is not None:
+            # The loop summed each row's guarded lanes compacted, which a
+            # row sum with zeros in place of the other lanes does not
+            # reproduce bitwise once a row has 8 or more lanes.
+            raise VectorizeFailure("guarded reduction into a row's cell")
+        cols = ctx.rect[2]
+        code, batch = self.vx(s.rhs)
+        if batch and not free_vars(s.rhs) & ctx.in_row:
+            # One value per row: the loop scaled it by the row length,
+            # as vsum does a value that is the same on every lane.
+            rows = f"({cols} * ({code})[::{cols}])"
+        else:
+            rows = f"_vops.rowsum({code}, {batch}, {ctx.bn}, {cols})"
+        idx_parts = [self.vx(i) for i in s.lhs.indices]
+        target = mangle(s.lhs.name)
+        if any(b for _, b in idx_parts):
+            # Each row's index: the value on the row's first lane.
+            heads = ", ".join(
+                f"({c})[::{cols}]" if b else c for c, b in idx_parts
+            )
+            self.sb.emit(
+                f"_vops.incidx({target}, ({heads},), {rows}, True, None)"
+            )
+            return True
+        cell = target + "".join(f"[{c}]" for c, _ in idx_parts)
+        self.sb.emit(f"{cell} = _vops.fold_rows({cell}, {rows})")
+        return True
+
     def _assign(self, s: SAssign, mask: str | None) -> None:
         ctx = self.ctx
+        if self._row_reduce(s, mask):
+            return
         if not s.lhs.indices:
             name = s.lhs.name
             if s.op is AssignOp.SET:
@@ -373,7 +464,7 @@ class VecEmitter:
                     raise VectorizeFailure("per-lane scalar rebinding of a draw")
                 code, batch = self.vx(s.rhs)
                 self.sb.emit(f"{mangle(name)} = {code}")
-                ctx.kinds[name] = batch
+                ctx.bind(name, batch, s.rhs)
                 return
             # Accumulation across the whole batch.
             code, batch = self.vx(s.rhs)
@@ -392,9 +483,11 @@ class VecEmitter:
         # Indexed store.
         target = mangle(s.lhs.name)
         indices = list(s.lhs.indices)
-        # Ragged-pair prefix on the left-hand side collapses to the flat view.
+        # A ragged nest's prefix on the left-hand side collapses to the
+        # flat view; a rectangular nest stores through both indices.
         if (
             ctx.pair_vars is not None
+            and ctx.rect is None
             and len(indices) >= 2
             and indices[0] == Var(ctx.pair_vars[0])
             and indices[1] == Var(ctx.pair_vars[1])

@@ -1,13 +1,17 @@
 """Function-level emission shared by the CPU and GPU backends.
 
-:class:`FnEmitter` walks Low-- statements, attempting vectorisation of
-every parallel loop (single-axis first at two levels: ragged-pair, then
-plain) and falling back to Python loops when the vectoriser declines.
-A :class:`ChargePolicy` hook lets the GPU backend attach device-time
+:class:`FnEmitter` walks Low-- statements and tries to vectorise every
+parallel loop, first as a two-level nest on one flattened batch axis
+(ragged or rectangular, see :mod:`repro.core.backend.emitter`), then as
+a single loop, and falls back to a Python loop when the vectoriser
+declines; a declined nest's inner loop is then tried on its own.  A
+:class:`ChargePolicy` hook lets the GPU backend attach device-time
 charges to each emitted block without duplicating the emitter.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.core.backend.emitter import (
     SourceBuilder,
@@ -17,7 +21,7 @@ from repro.core.backend.emitter import (
     emit_scalar_expr,
     mangle,
 )
-from repro.core.exprs import IntLit, mentions
+from repro.core.exprs import DistOp, DistOpKind, IntLit, mentions, walk
 from repro.core.lowpp.ir import (
     AssignOp,
     LoopKind,
@@ -69,6 +73,48 @@ def atomic_locations_code(stmts) -> str | None:
     if len(locs) == 1:
         return locs[0]
     return f"min({', '.join(locs)})"
+
+
+def _ordered_updates(s: Stmt) -> list[str]:
+    """What ``s`` updates whose result depends on the order of updates:
+    an increment's target, and the random stream for a draw."""
+    out = []
+    if isinstance(s, SAssign) and s.op is AssignOp.INC:
+        out.append(repr(s.lhs.name))
+    if isinstance(s, (SAssign, SMultiAssign)) and any(
+        isinstance(e, DistOp) and e.op is DistOpKind.SAMP for e in walk(s.rhs)
+    ):
+        out.append("the random stream")
+    return out
+
+
+def _row_order_hazard(stmts, seen: set | None = None, in_loop=False) -> str | None:
+    """Why running a rectangular nest's body one statement at a time over
+    all rows would reorder its updates, or ``None``.
+
+    The loop over the rows that nest mode replaces runs the whole body
+    for one row before the next, so an increment target or the random
+    stream updated by two statements, or inside a host loop, sees its
+    updates interleaved row by row.
+    """
+    seen = set() if seen is None else seen
+    for s in stmts:
+        match s:
+            case SLoop(_, _, body):
+                why = _row_order_hazard(body, seen, True)
+            case SIf(_, then, els):
+                why = _row_order_hazard(then, seen, in_loop) or _row_order_hazard(
+                    els, seen, in_loop
+                )
+            case _:
+                why = None
+                for key in _ordered_updates(s):
+                    if in_loop or key in seen:
+                        return f"{key} updated more than once per row"
+                    seen.add(key)
+        if why:
+            return why
+    return None
 
 
 class FnEmitter:
@@ -127,7 +173,7 @@ class FnEmitter:
 
     def loop(self, s: SLoop) -> None:
         if self.vectorize and s.kind in (LoopKind.PAR, LoopKind.ATM_PAR):
-            if self._try(self._emit_pair_vectorized, s):
+            if self._try(self._emit_nest_vectorized, s):
                 return
             if self._try(self._emit_vectorized, s):
                 return
@@ -164,6 +210,12 @@ class FnEmitter:
                 inner.charge.scalar_iteration(self.sb, s.body)
             inner.stmts(s.body)
 
+    def _vector_body(self, ctx: _VecCtx, loop: SLoop) -> None:
+        vec = VecEmitter(self.sb, ctx, self.ragged)
+        self.charge.vector_loop(self.sb, ctx.bn, loop.kind, loop.body)
+        for stmt in loop.body:
+            vec.stmt(stmt, None)
+
     def _emit_vectorized(self, s: SLoop) -> None:
         sb = self.sb
         v = mangle(s.gen.var)
@@ -174,26 +226,22 @@ class FnEmitter:
         sb.emit(f"{bn} = {v}.shape[0]")
         sb.emit(f"if {bn} > 0:")
         with sb.block():
-            ctx = _VecCtx(bindings={s.gen.var: v}, bn=bn)
-            vec = VecEmitter(sb, ctx, self.ragged)
-            self.charge.vector_loop(sb, bn, s.kind, s.body)
-            for stmt in s.body:
-                vec.stmt(stmt, None)
+            self._vector_body(_VecCtx(bindings={s.gen.var: v}, bn=bn), s)
 
-    def _emit_pair_vectorized(self, s: SLoop) -> None:
-        # Pattern: Par g1 { Par g2 { body } } with g2's bound depending
-        # on g1 -- the ragged (document, token) shape.
+    def _emit_nest_vectorized(self, s: SLoop) -> None:
+        # Pattern: Par g1 { Par g2 { body } }, run on one batch axis
+        # holding the rows of g1 end to end.  g2's bound may depend on g1
+        # (the ragged (document, token) shape) or not (a rectangular nest).
         if len(s.body) != 1 or not isinstance(s.body[0], SLoop):
-            raise VectorizeFailure("not a pair loop")
+            raise VectorizeFailure("not a loop nest")
         inner = s.body[0]
         if inner.kind is LoopKind.SEQ:
             raise VectorizeFailure("inner loop is sequential")
-        if not (
-            mentions(inner.gen.hi, s.gen.var) or mentions(inner.gen.lo, s.gen.var)
-        ):
-            raise VectorizeFailure("inner bound independent; single mode handles it")
         if inner.gen.lo != IntLit(0):
-            raise VectorizeFailure("ragged inner loop must start at 0")
+            raise VectorizeFailure("inner loop of a nest must start at 0")
+        if not mentions(inner.gen.hi, s.gen.var):
+            self._emit_rect_nest(s)
+            return
 
         sb = self.sb
         v1, v2 = mangle(s.gen.var), mangle(inner.gen.var)
@@ -226,7 +274,55 @@ class FnEmitter:
                 bn=bn,
                 bpos=bpos,
             )
-            vec = VecEmitter(sb, ctx, self.ragged)
+            self._vector_body(ctx, inner)
+
+    def _emit_rect_nest(self, s: SLoop) -> None:
+        """A nest whose inner bound does not depend on the outer variable:
+        rows of ``cols`` lanes each, with reductions into a row's cell
+        summed row by row (see ``VecEmitter._row_reduce``).
+
+        The rows run in blocks of ``vops.block_rows(cols)``, so the lane
+        arrays stay small however large the nest is.  Each block carries
+        on where the one before stopped -- in the row order, the
+        increment order and the random stream -- so the results do not
+        depend on the block size.
+        """
+        inner = s.body[0]
+        why = _row_order_hazard(inner.body)
+        if why:
+            raise VectorizeFailure(why)
+        sb = self.sb
+        v1, v2 = mangle(s.gen.var), mangle(inner.gen.var)
+        lo = emit_scalar_expr(s.gen.lo)
+        hi = emit_scalar_expr(s.gen.hi)
+        bn = sb.fresh("bn")
+        cols = sb.fresh("cols")
+        step, r0, r1, lanes = (sb.fresh(p) for p in ("step", "r", "r", "lanes"))
+        sb.emit(f"{cols} = {emit_scalar_expr(inner.gen.hi)}")
+        sb.emit(f"{bn} = max(0, ({hi}) - ({lo})) * {cols}")
+        sb.emit(f"if {bn} > 0:")
+        with sb.block():
             self.charge.vector_loop(sb, bn, inner.kind, inner.body)
-            for stmt in inner.body:
-                vec.stmt(stmt, None)
+            sb.emit(f"{step} = _vops.block_rows({cols})")
+            sb.emit(f"for {r0} in range({lo}, {hi}, {step}):")
+            with sb.block():
+                sb.emit(f"{r1} = min({r0} + {step}, {hi})")
+                sb.emit(f"{lanes} = ({r1} - {r0}) * {cols}")
+                first = len(sb.lines)
+                sb.emit(f"{v1} = np.repeat(np.arange({r0}, {r1}), {cols})")
+                sb.emit(f"{v2} = np.tile(np.arange({cols}), {r1} - {r0})")
+                ctx = _VecCtx(
+                    bindings={s.gen.var: v1, inner.gen.var: v2},
+                    pair_vars=(s.gen.var, inner.gen.var),
+                    bn=lanes,
+                    rect=(r0, r1, cols),
+                    in_row={inner.gen.var},
+                )
+                vec = VecEmitter(sb, ctx, self.ragged)
+                for stmt in inner.body:
+                    vec.stmt(stmt, None)
+                # A lane index array the body never reads is not built.
+                body = "\n".join(sb.lines[first + 2:])
+                for pos, name in ((first + 1, v2), (first, v1)):
+                    if not re.search(rf"\b{name}\b", body):
+                        del sb.lines[pos]

@@ -6,7 +6,10 @@ first*.  A per-iteration value may itself be a vector (e.g. a data row
 ``x[n]``), so two batch operands can have different element ranks; the
 binary helpers align element dimensions before broadcasting.  The
 scatter/gather helpers implement the loop-carried stores: ``np.add.at``
-is the CPU realisation of an atomic increment.
+is the CPU realisation of an atomic increment.  A two-level loop nest
+runs on one batch axis holding its rows end to end (a rectangular one
+block of rows at a time); the row helpers reduce that axis one row at a
+time (see :func:`rowsum`).
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def take_pair(base, idx):
 
 
 def pair_flat(base):
-    """The flattened view used by ragged-pair vectorisation.
+    """The flattened view used by ragged-nest vectorisation.
 
     For a ragged array this is its contiguous flat buffer; for a dense
     array the first two axes are merged.
@@ -91,6 +94,65 @@ def pair_flat(base):
         return base.flat
     base = np.asarray(base)
     return base.reshape((-1,) + base.shape[2:])
+
+
+#: Lanes per block of a rectangular loop nest.  The nest runs its rows
+#: block by block, so each lane array holds at most this many elements
+#: (256 KiB of float64) however large the nest is.
+NEST_BLOCK = 1 << 15
+
+
+def block_rows(cols: int) -> int:
+    """Rows per block of a rectangular nest with ``cols`` lanes a row."""
+    return max(1, NEST_BLOCK // cols)
+
+
+def rect_flat(base, lo, hi, cols):
+    """Rows ``lo..hi-1`` and columns ``0..cols-1`` of a dense array laid
+    out as a rectangular nest's batch axis, row after row.
+
+    A view when that block is contiguous, otherwise a copy in that order
+    (so a Fortran-ordered array reads the same as a C-ordered one).
+    """
+    base = np.asarray(base)
+    if base.shape[0] < hi or base.shape[1] < cols:
+        raise IndexError(
+            f"loop nest reads rows [{lo}, {hi}) x columns [0, {cols}) "
+            f"of an array of shape {base.shape}"
+        )
+    return base[lo:hi, :cols].reshape((-1,) + base.shape[2:])
+
+
+def rowsum(value, batch: bool, n: int, cols: int):
+    """Per-row totals of a contribution over a rectangular nest's batch.
+
+    Row ``r`` is lanes ``r * cols .. (r + 1) * cols - 1``.  On the
+    C-contiguous ``(rows, cols, *elem)`` view, an axis-1 sum gives each
+    row bitwise the total :func:`vsum` takes over that row's lanes alone
+    (NumPy sums a contiguous row pairwise either way; a Fortran-ordered
+    operand would be summed sequentially instead).
+    """
+    if not batch:
+        total = cols * np.asarray(value)
+        return np.broadcast_to(total, (n // cols,) + total.shape)
+    value = np.ascontiguousarray(value)
+    return np.sum(value.reshape((-1, cols) + value.shape[1:]), axis=1)
+
+
+def fold_rows(acc, rows):
+    """``acc`` plus each row total in turn, first row first.
+
+    This is the row-by-row accumulation of a loop over the rows: a
+    running ``np.cumsum`` adds left to right, while ``np.sum`` over the
+    rows would group the additions pairwise.
+    """
+    rows = np.asarray(rows)
+    shape = np.broadcast_shapes(np.shape(acc), rows.shape[1:])
+    seq = np.concatenate((
+        np.broadcast_to(acc, (1,) + shape),
+        np.broadcast_to(rows, rows.shape[:1] + shape),
+    ))
+    return np.cumsum(seq, axis=0)[-1]
 
 
 def _filter_mask(indices, value, value_batch, mask):

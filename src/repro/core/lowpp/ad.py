@@ -317,21 +317,26 @@ def _assigned_names(stmts) -> set[str]:
     return out
 
 
-def _count_subexprs(stmts, counts: dict) -> None:
+def _count_subexprs(stmts, counts: dict, element_reads: dict) -> None:
+    """Count each hoistable subexpression, and separately how often it
+    occurs only as the row an element is read from (``t[d]`` in
+    ``t[d][j]``)."""
     for s in stmts:
         exprs: tuple[Expr, ...] = ()
         if isinstance(s, SAssign):
             exprs = (s.rhs, *s.lhs.indices)
         elif isinstance(s, SIf):
             exprs = (s.cond,)
-            _count_subexprs(s.then, counts)
-            _count_subexprs(s.els, counts)
+            _count_subexprs(s.then, counts, element_reads)
+            _count_subexprs(s.els, counts, element_reads)
         elif isinstance(s, SLoop):
-            _count_subexprs(s.body, counts)
+            _count_subexprs(s.body, counts, element_reads)
         for e in exprs:
             for sub in walk(e):
                 if _hoistable(sub):
                     counts[sub] = counts.get(sub, 0) + 1
+                if isinstance(sub, Index) and _hoistable(sub.base):
+                    element_reads[sub.base] = element_reads.get(sub.base, 0) + 1
 
 
 class _Cse:
@@ -344,10 +349,16 @@ class _Cse:
     temps defined inside a guard or loop body never escape it, and
     expressions mentioning names assigned within the region (the
     accumulators and adjoint-chain temps) are never hoisted.
+
+    A row that is only ever read one element at a time (``t[d]`` in
+    ``t[d][j]``) is not bound either: the element read is the shared
+    value, and a loop nest over ``(d, j)`` vectorises ``t[d][j]`` as one
+    flat read, where a temp holding the row would be gathered per lane.
     """
 
-    def __init__(self, counts: dict, protect: set[str]):
+    def __init__(self, counts: dict, element_reads: dict, protect: set[str]):
         self.counts = counts
+        self.element_reads = element_reads
         self.protect = protect
         self._n = 0
 
@@ -387,9 +398,11 @@ class _Cse:
         if t is not None:
             return Var(t)
         e2 = map_children(e, lambda c: self.rewrite(c, memo, defs))
+        count = self.counts.get(e, 0)
         if (
             _hoistable(e)
-            and self.counts.get(e, 0) >= 2
+            and count >= 2
+            and count > self.element_reads.get(e, 0)
             and not (free_vars(e) & self.protect)
         ):
             t = self._fresh()
@@ -401,10 +414,11 @@ class _Cse:
 
 def _cse_stmts(stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
     counts: dict = {}
-    _count_subexprs(stmts, counts)
+    element_reads: dict = {}
+    _count_subexprs(stmts, counts, element_reads)
     if not any(c >= 2 for c in counts.values()):
         return stmts
-    cse = _Cse(counts, _assigned_names(stmts))
+    cse = _Cse(counts, element_reads, _assigned_names(stmts))
     return cse.rewrite_stmts(stmts, {})
 
 

@@ -157,14 +157,15 @@ def _lane_loop_nest(
 ) -> tuple[Stmt, ...]:
     """Wrap ``stmts`` in ``gens`` with exactly one batchable axis.
 
-    The vectoriser collapses a single parallel loop (or a ragged pair
-    whose inner bound depends on the outer variable); any further
-    parallel nesting makes it decline the whole loop.  So: keep a ragged
-    pair parallel, make one other generator the parallel batch axis --
-    preferring a generator the lane path mentions, since that is the
-    axis the scatter distributes over -- and demote the rest to
-    sequential host loops.  Independent dense generators commute, so the
-    chosen axis is rotated outermost.
+    Keep a ragged pair parallel, make one other generator the parallel
+    batch axis -- preferring a generator the lane path mentions, since
+    that is the axis the scatter distributes over -- and demote the rest
+    to sequential host loops.  Independent dense generators commute, so
+    the chosen axis is rotated outermost.  A second dense axis left
+    parallel would vectorise as a rectangular nest, but its per-lane
+    sums would then add pairwise instead of one term at a time, which
+    changes the conditional densities (and batched-MH draws) in their
+    last bits once the axis has 8 or more elements.
     """
     dependent = {
         g.var

@@ -88,6 +88,12 @@ def outer(u, v):
 
 
 def zeros_like(x):
+    """A float64 zero buffer shaped like ``x`` (a ragged one for a
+    ragged ``x``, as :func:`fill_zero` also accepts)."""
+    from repro.runtime.vectors import RaggedArray
+
+    if isinstance(x, RaggedArray):
+        return x.map_flat(lambda flat: np.zeros_like(flat, dtype=np.float64))
     return np.zeros_like(np.asarray(x, dtype=np.float64))
 
 

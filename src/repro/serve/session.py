@@ -16,6 +16,7 @@ event loop.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -106,6 +107,13 @@ def summarize_chains(chain_samples: list[dict]) -> dict:
             entry["worst_rhat"] = worst
         out[name] = entry
     return out
+
+
+def _json_number(value: float) -> float | None:
+    """``value``, or ``None`` where JSON has no number for it: nan (an
+    unknown R-hat or ESS) and the infinite R-hat of chains stuck at
+    different values."""
+    return value if math.isfinite(value) else None
 
 
 def _worst_rhat(summary: dict) -> float | None:
@@ -373,8 +381,8 @@ class InferenceService:
             }
         if stream.monitor is not None:
             response["monitor"] = {
-                "worst_rhat": stream.monitor.worst_rhat(),
-                "min_ess": stream.monitor.min_ess(),
+                "worst_rhat": _json_number(stream.monitor.worst_rhat()),
+                "min_ess": _json_number(stream.monitor.min_ess()),
             }
         if req.return_draws:
             # Process-executor draws are views of the run's shared
@@ -586,7 +594,7 @@ class InferenceService:
         if chunk.info:
             event["info"] = chunk.info
         if stream.monitor is not None:
-            event["worst_rhat"] = stream.monitor.worst_rhat()
+            event["worst_rhat"] = _json_number(stream.monitor.worst_rhat())
         return event
 
     def _cache_block(

@@ -319,9 +319,14 @@ class ConvergenceMonitor:
     # -- reading -----------------------------------------------------------
 
     def worst_rhat(self) -> float:
-        values = [m.rhat() for m in self._rhat.values()]
-        finite = [v for v in values if math.isfinite(v)]
-        return max(finite) if finite else float("nan")
+        """The largest split R-hat over the monitored scalars.
+
+        ``inf`` (chains stuck at different values) is the worst value
+        there is; ``nan`` (too few draws to tell) is unknown and skipped,
+        and is returned only when no scalar has a value yet."""
+        known = [v for v in (m.rhat() for m in self._rhat.values())
+                 if not math.isnan(v)]
+        return max(known) if known else float("nan")
 
     def converged(self, threshold: float, min_draws: int = 8) -> bool:
         """The early-stopping predicate: True once every chain has fed
@@ -346,7 +351,7 @@ class ConvergenceMonitor:
     def warnings(self) -> list[str]:
         out = []
         worst = self.worst_rhat()
-        if math.isfinite(worst) and worst > self.rhat_warn:
+        if worst > self.rhat_warn:
             out.append(
                 f"split R-hat {worst:.3f} exceeds {self.rhat_warn} -- "
                 "chains have not converged"
@@ -358,7 +363,7 @@ class ConvergenceMonitor:
     def progress_line(self) -> str:
         worst = self.worst_rhat()
         ess = self.min_ess()
-        rhat_s = f"{worst:.3f}" if math.isfinite(worst) else "n/a"
+        rhat_s = "n/a" if math.isnan(worst) else f"{worst:.3f}"
         ess_s = f"{ess:.0f}" if math.isfinite(ess) else "n/a"
         return (
             f"[monitor] chains {self._chains_done}/{self.n_chains} done: "
@@ -372,9 +377,9 @@ class ConvergenceMonitor:
             per_chain = [a.ess() for a in self._ess[key]]
             finite = [v for v in per_chain if math.isfinite(v)]
             ess = sum(finite) if finite else float("nan")
-            rhat_s = f"{r:.3f}" if math.isfinite(r) else "  n/a"
+            rhat_s = "  n/a" if math.isnan(r) else f"{r:5.3f}"
             ess_s = f"{ess:8.0f}" if math.isfinite(ess) else "     n/a"
-            flag = "  <-- " if math.isfinite(r) and r > self.rhat_warn else ""
+            flag = "  <-- " if r > self.rhat_warn else ""
             lines.append(f"  {key:20s} split R-hat {rhat_s}  ESS {ess_s}{flag}")
         lines.extend(self.divergence.lines())
         warns = self.warnings()

@@ -24,9 +24,9 @@ def _fmt_rhat(value) -> str:
         v = float(value)
     except (TypeError, ValueError):
         return "-"
-    if v != v or v in (float("inf"), float("-inf")):
+    if v != v:
         return "-"
-    return f"{v:.3f}"
+    return f"{v:.3f}"  # "inf" for chains stuck at different values
 
 
 class StreamProgress:

@@ -22,8 +22,16 @@ from repro.core.backend.drivers import (
     VectorizedSliceDriver,
 )
 from repro.core.compiler import compile_model
-from repro.core.exprs import Gen, IntLit, RealLit, Var
-from repro.core.lowpp.ir import AssignOp, LDecl, LoopKind, LValue, SAssign, SLoop
+from repro.core.exprs import Call, Gen, IntLit, RealLit, Var
+from repro.core.lowpp.ir import (
+    AssignOp,
+    LDecl,
+    LoopKind,
+    LValue,
+    SAssign,
+    SIf,
+    SLoop,
+)
 from repro.core.lowmm.ir import lower_decl
 from repro.core.options import CompileOptions
 from repro.runtime.rng import Rng
@@ -194,22 +202,27 @@ def test_ragged_gather_model_falls_back_to_scalar():
     assert np.all(np.isfinite(state["t"]))
 
 
-def test_decl_vectorizes_probe():
-    out_store = SAssign(
-        LValue("out", (Var("i"), Var("j"))), AssignOp.SET, RealLit(1.0)
-    )
-    nested_par = SLoop(
-        LoopKind.PAR,
+def _nest_decl(name, params, body):
+    nest = SLoop(
+        LoopKind.ATM_PAR,
         Gen("i", IntLit(0), Var("N")),
-        (SLoop(LoopKind.PAR, Gen("j", IntLit(0), Var("M")), (out_store,)),),
+        (SLoop(LoopKind.ATM_PAR, Gen("j", IntLit(0), Var("M")), body),),
     )
-    bad = LDecl(
-        name="probe_bad",
-        params=("M", "N", "out"),
-        body=(nested_par,),
-        ret=(Var("out"),),
+    return lower_decl(
+        LDecl(name=name, params=params, body=(nest,), ret=(Var("out"),))
     )
-    assert not decl_vectorizes(lower_decl(bad), frozenset())
+
+
+def test_decl_vectorizes_probe():
+    # A guarded reduction into a cell fixed per row still declines: the
+    # loop summed each row's selected lanes compacted, which nest mode
+    # cannot reproduce bitwise.
+    guarded_row_sum = SIf(
+        Call("==", (Var("flag")[Var("i")][Var("j")], IntLit(1))),
+        (SAssign(LValue("out", (Var("i"),)), AssignOp.INC, RealLit(1.0)),),
+    )
+    bad = _nest_decl("probe_bad", ("M", "N", "flag", "out"), (guarded_row_sum,))
+    assert not decl_vectorizes(bad, frozenset())
 
     flat = SLoop(
         LoopKind.PAR,
@@ -220,6 +233,13 @@ def test_decl_vectorizes_probe():
         name="probe_good", params=("N", "out"), body=(flat,), ret=(Var("out"),)
     )
     assert decl_vectorizes(lower_decl(good), frozenset())
+    # A rectangular nest runs whole on the flattened batch.
+    out_store = SAssign(
+        LValue("out", (Var("i"), Var("j"))), AssignOp.SET, RealLit(1.0)
+    )
+    assert decl_vectorizes(
+        _nest_decl("probe_nest", ("M", "N", "out"), (out_store,)), frozenset()
+    )
 
 
 # ----------------------------------------------------------------------

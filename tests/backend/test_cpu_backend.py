@@ -6,7 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.backend import vops
 from repro.core.backend.cpu import compile_cpu_module
+from repro.core.compiler import compile_model
 from repro.core.density.conditionals import blocked_factors, conditional
 from repro.core.density.interp import log_joint
 from repro.core.kernel.conjugacy import detect_conjugacy, detect_enumeration
@@ -21,6 +23,7 @@ from repro.runtime.vectors import RaggedArray
 
 from tests.lowpp.conftest import make_setup
 from tests.lowpp.test_gen_gibbs import gmm_gibbs_env
+from tests.telemetry.test_explain import RAGGED_ELEMENTS, ragged_inputs
 
 
 def compile_one(decl, workspaces=(), writes=(), ragged=frozenset(), vectorize=True):
@@ -304,3 +307,91 @@ def test_compiled_module_exposes_source():
     mod = compile_one(gen_model_ll(fd))
     assert "def model_ll(env, ws, rng):" in mod.source
     assert mod.target == "cpu"
+
+
+# ----------------------------------------------------------------------
+# Rectangular loop nests (grouped means: N groups of J observations).
+# ----------------------------------------------------------------------
+
+GROUPED_MEANS = """
+(N, J, v0, v) => {
+  param mu[n] ~ Normal(0.0, v0)
+    for n <- 0 until N ;
+  data y[n][j] ~ Normal(mu[n], v)
+    for n <- 0 until N, j <- 0 until J ;
+}
+"""
+
+
+def grouped_means_inputs(n=30, j=4, seed=0, v=0.7):
+    y = np.random.default_rng(seed).normal(size=(n, j))
+    return {"N": n, "J": j, "v0": 25.0, "v": v}, {"y": y}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+@pytest.mark.parametrize("cols", [4, 20, 200])
+def test_grouped_gibbs_statistics_are_row_sums(cols, layout):
+    hypers, data = grouped_means_inputs(j=cols, seed=cols)
+    y = data["y"]
+    if layout == "F":
+        data["y"] = np.asfortranarray(y)
+    elif layout == "transposed":
+        data["y"] = np.ascontiguousarray(y.T).T
+    sampler = compile_model(GROUPED_MEANS, hypers, data, schedule="Gibbs mu")
+    env = dict(sampler.base_env)
+    env.update(sampler.init_state(Rng(0)))
+    sampler.module.fn("gibbs_mu")(env, sampler.workspaces, Rng(1))
+    v = hypers["v"]
+    # Each group's statistic is the NumPy sum of its own row, as a loop
+    # over the groups computed it, whatever the memory order of ``y``
+    # (an axis-1 sum over a Fortran-ordered array adds in another order).
+    expected = np.sum(y / v, axis=1)
+    assert np.array_equal(expected, [np.sum(row / v) for row in y])
+    assert np.array_equal(sampler.workspaces["ws_mu_mean"], expected)
+    assert np.array_equal(
+        sampler.workspaces["ws_mu_prec"], np.full(hypers["N"], cols * (1.0 / v))
+    )
+
+
+def test_grouped_means_results_do_not_depend_on_the_block_size(monkeypatch):
+    # Blocks of two rows split every rectangular nest into 15: the draws,
+    # the replicated data (one random draw per element) and the log joint
+    # stay bitwise the same.
+    hypers, data = grouped_means_inputs(n=30, j=20)
+
+    def run():
+        sampler = compile_model(GROUPED_MEANS, hypers, data, schedule="Gibbs mu")
+        draws = sampler.sample(num_samples=5, seed=3).array("mu")
+        state = sampler.init_state(Rng(0))
+        replicated = sampler.posterior_predictive(state, Rng(1))["y"]
+        return draws, replicated, sampler.log_joint(state)
+
+    whole = run()
+    monkeypatch.setattr(vops, "NEST_BLOCK", 40)
+    for a, b in zip(whole, run()):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "source,inputs,schedule,decls",
+    [
+        (GROUPED_MEANS, grouped_means_inputs, "Gibbs mu",
+         ("gibbs_mu", "forward_data", "model_ll")),
+        (RAGGED_ELEMENTS, ragged_inputs, "HMC[steps=10, step_size=0.2] t",
+         ("ll_grad_t",)),
+    ],
+    ids=["rectangular", "ragged-fused-gradient"],
+)
+def test_loop_nests_vectorize_whole(source, inputs, schedule, decls):
+    sampler = compile_model(source, *inputs(), schedule=schedule)
+    choices = {
+        e["subject"]: e["choice"]
+        for e in sampler.explain_json()
+        if e["decision"] == "emit.vectorize"
+    }
+    for name in decls:
+        assert choices[name] == "vectorized", name
+        fn_source = sampler.source.split(f"def {name}(")[1].split("\ndef ")[0]
+        # No Python loop over a model index (a rectangular nest's loop
+        # over blocks of rows runs a handful of times).
+        assert "for v_" not in fn_source, name

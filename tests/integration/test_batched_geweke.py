@@ -13,6 +13,9 @@ import numpy as np
 from repro.core.compiler import compile_model
 from repro.eval.geweke import geweke_test
 
+from tests.backend.test_cpu_backend import GROUPED_MEANS
+from tests.integration.test_geweke import GROUPED_TEST_FUNCTIONS
+
 Z_LIMIT = 4.5
 
 ELEMENTS = """
@@ -65,4 +68,17 @@ def test_geweke_batched_slice():
 
 def test_geweke_batched_eslice():
     res = _run("ESlice mu", seed=12)
+    assert res.max_abs_z() < Z_LIMIT, f"\n{res}"
+
+
+def test_geweke_batched_mh_grouped_means():
+    # Each lane's conditional scores a group of J = 9 observations.
+    hypers, data = {"N": 3, "J": 9, "v0": 2.0, "v": 1.0}, {"y": np.zeros((3, 9))}
+    sampler = compile_model(GROUPED_MEANS, hypers, data, schedule="MH mu")
+    (upd,) = sampler.updates
+    assert upd.is_batched
+    res = geweke_test(
+        GROUPED_MEANS, hypers, data, GROUPED_TEST_FUNCTIONS,
+        n_marginal=3000, n_successive=3000, schedule="MH mu", seed=13,
+    )
     assert res.max_abs_z() < Z_LIMIT, f"\n{res}"

@@ -14,7 +14,18 @@ import pytest
 from repro.eval import models
 from repro.eval.geweke import geweke_test
 
+from tests.backend.test_cpu_backend import GROUPED_MEANS
+
 Z_LIMIT = 4.5
+
+#: Test functions for the grouped-means model: a group's mean, its
+#: square, the data, and the mean-data coupling within a group.
+GROUPED_TEST_FUNCTIONS = {
+    "mean(mu)": lambda s, d: float(np.mean(s["mu"])),
+    "mean(mu^2)": lambda s, d: float(np.mean(s["mu"] ** 2)),
+    "mean(y)": lambda s, d: float(np.mean(d["y"])),
+    "mean(mu*ybar)": lambda s, d: float(np.mean(s["mu"] * d["y"].mean(axis=1))),
+}
 
 
 def test_geweke_normal_normal_gibbs():
@@ -136,3 +147,20 @@ def test_geweke_detects_a_broken_kernel():
     # Under the correct joint, E[mu] = 0; the biased kernel drifts.
     drift = abs(np.mean(mus)) / (np.std(mus) / np.sqrt(100))
     assert drift > 4.5
+
+
+def test_geweke_grouped_means_gibbs():
+    # Conjugate Gibbs over groups whose statistics come from a
+    # rectangular (group, observation) nest summed row by row; J = 9
+    # rows are long enough for NumPy's pairwise row sums.
+    res = geweke_test(
+        GROUPED_MEANS,
+        {"N": 3, "J": 9, "v0": 2.0, "v": 1.0},
+        {"y": np.zeros((3, 9))},
+        GROUPED_TEST_FUNCTIONS,
+        n_marginal=3000,
+        n_successive=3000,
+        schedule="Gibbs mu",
+        seed=4,
+    )
+    assert res.max_abs_z() < Z_LIMIT, f"\n{res}"

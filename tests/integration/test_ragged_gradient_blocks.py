@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import compile_model
+from repro.core.options import CompileOptions
 
 from tests.telemetry.test_explain import RAGGED_ELEMENTS, ragged_inputs
 
@@ -52,3 +53,29 @@ def test_ragged_block_samples_closed_form_posterior(schedule, warmup):
     assert np.max(np.abs(z)) <= 5.0, z
     ratio = draws.var(axis=0) / var
     assert np.all((ratio > 0.5) & (ratio < 2.0)), ratio
+
+
+@pytest.mark.parametrize(
+    "schedule,warmup",
+    [("HMC[steps=10, step_size=0.2] t", 0), ("NUTS t", 20)],
+    ids=["hmc", "nuts"],
+)
+def test_ragged_gradient_paths_draw_identically(schedule, warmup):
+    # The fused value+gradient, the separate log-density and gradient
+    # pair, and the GPU target all run the ragged block on its flat
+    # buffer, summing in the same order.
+    hypers, data = ragged_inputs(d=40)
+    draws = {}
+    for path, options in (
+        ("fused", CompileOptions()),
+        ("pair", CompileOptions(fuse_gradient=False)),
+        ("gpu", CompileOptions(target="gpu")),
+    ):
+        sampler = compile_model(
+            RAGGED_ELEMENTS, hypers, data, schedule=schedule, options=options
+        )
+        draws[path] = _draws(
+            [sampler.sample(num_samples=30, seed=5, warmup=warmup)]
+        )
+    np.testing.assert_array_equal(draws["fused"], draws["pair"])
+    np.testing.assert_array_equal(draws["fused"], draws["gpu"])

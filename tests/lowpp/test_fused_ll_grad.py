@@ -15,15 +15,20 @@ import numpy as np
 import pytest
 
 from repro.core.density.conditionals import blocked_factors
+from repro.core.density.lower import lower_and_factorize
+from repro.core.exprs import Var
+from repro.core.frontend.parser import parse_model
 from repro.core.lowpp.ad import gen_grad, gen_ll_grad
 from repro.core.lowpp.gen_ll import gen_block_ll
 from repro.core.lowpp.interp import run_decl
+from repro.core.lowpp.ir import SAssign, walk_stmts
 from repro.errors import CodegenError
 from repro.runtime.rng import Rng
 from repro.runtime.vectors import RaggedArray
 
 from tests.lowpp.conftest import make_setup
 from tests.lowpp.test_ad import numeric_grad
+from tests.telemetry.test_explain import RAGGED_ELEMENTS
 
 
 def _adjoint_workspaces(targets, env):
@@ -161,3 +166,20 @@ def test_rejects_gradient_through_discrete_index():
     blk = BlockConditional(targets=("t2",), factors=(f,))
     with pytest.raises(CodegenError, match="index"):
         gen_ll_grad(blk)
+
+
+def test_rows_read_one_element_at_a_time_are_not_bound():
+    # ``t[d]`` and ``y[d]`` occur only as the rows of ``t[d][j]`` and
+    # ``y[d][j]``: the element reads are bound, the rows are not, so the
+    # (d, j) nest reads each element from the flat buffer instead of
+    # gathering a whole row per lane.
+    fd = lower_and_factorize(parse_model(RAGGED_ELEMENTS))
+    decl, _ = gen_ll_grad(blocked_factors(fd, ("t",)), fd.lets)
+    bound = [
+        s.rhs
+        for s in walk_stmts(decl.body)
+        if isinstance(s, SAssign) and s.lhs.name.startswith("_fwd")
+    ]
+    d, j = Var("d"), Var("j")
+    assert Var("t")[d] not in bound and Var("y")[d] not in bound
+    assert Var("t")[d][j] in bound and Var("y")[d][j] in bound

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import io
+import json
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ def test_target_rhat_converges_early(service, nn_payload):
     assert resp["verdict"] == "converged"
     assert resp["monitor"]["worst_rhat"] <= 1.2
     assert min(resp["draws"]["kept"]) < 4000
+
+
+def test_stuck_chains_keep_the_monitor_json_valid(service, nn_payload):
+    # Step size 50 rejects every proposal, so each chain stays at its own
+    # start: the split R-hat is infinite, which is no convergence and has
+    # no JSON number.
+    payload = copy.deepcopy(nn_payload)
+    payload["query"]["schedule"] = "HMC[steps=3, step_size=50.0] mu"
+    payload["query"]["samples"] = 48
+    payload["budget"] = {"target_rhat": 1.2}
+    progress = []
+    resp = _handle(service, payload, progress_cb=progress.append)
+    assert resp["stop_reason"] != "converged"
+    assert resp["monitor"]["worst_rhat"] is None
+    json.dumps(resp["monitor"], allow_nan=False)
+    json.dumps([e["worst_rhat"] for e in progress], allow_nan=False)
+    assert progress[-1]["worst_rhat"] is None
 
 
 def test_checkpoint_mismatch_is_rejected(service, nn_payload):

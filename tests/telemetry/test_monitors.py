@@ -290,3 +290,56 @@ def test_healthy_proposals_do_not_warn():
     with _warnings.catch_warnings():
         _warnings.simplefilter("error", RuntimeWarning)
         sampler.sample(num_samples=20, seed=0)
+
+
+def _stuck_and_mixing(monitor, draws=40):
+    # ``a``: each chain stuck at its own value, so its split R-hat is
+    # infinite; ``b``: both chains mix over the same distribution.
+    rng = np.random.default_rng(2)
+    for d in range(draws):
+        for chain in (0, 1):
+            monitor.observe(chain, d, {"a": float(chain), "b": rng.normal()})
+
+
+def test_infinite_rhat_is_the_worst_value_not_unknown():
+    lines = []
+    monitor = ConvergenceMonitor(
+        param_names=("a", "b"), n_chains=2, total_draws=40, emit=lines.append
+    )
+    _stuck_and_mixing(monitor)
+    assert monitor._rhat["a"].rhat() == np.inf
+    assert np.isfinite(monitor._rhat["b"].rhat())
+    assert monitor._rhat["b"].rhat() < 1.1
+    assert monitor.worst_rhat() == np.inf
+    # The finite scalar alone would pass: an infinite one must not stop
+    # the run early as converged.
+    assert not monitor.converged(1.1)
+    assert any("split R-hat inf exceeds" in w for w in monitor.warnings())
+    report = monitor.report()
+    assert "split R-hat   inf" in report and "<--" in report
+    assert "all monitors within thresholds" not in report
+    monitor.chain_done()
+    assert "worst split R-hat inf" in lines[-1]
+
+
+def test_stuck_gradient_chains_fail_the_monitor():
+    # Step size 50 rejects every HMC proposal, so each chain's ``mu``
+    # stays at its start.
+    from tests.telemetry.test_explain import gmm_inputs
+
+    hypers, data = gmm_inputs()
+    sampler = compile_model(
+        models.GMM, hypers, data,
+        schedule="HMC[steps=3, step_size=50.0] mu (*) Gibbs z",
+    )
+    monitor = make_monitor(2, 40)
+    sampler.sample_chains(2, num_samples=40, seed=1, monitor=monitor)
+    assert monitor.worst_rhat() == np.inf
+    assert "WARNING: split R-hat inf exceeds" in monitor.report()
+
+
+def test_unknown_rhat_stays_unknown():
+    monitor = make_monitor(2, 40)
+    assert np.isnan(monitor.worst_rhat())
+    assert "worst split R-hat n/a" in monitor.progress_line()
+    assert monitor.warnings() == []
