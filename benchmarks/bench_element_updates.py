@@ -5,8 +5,8 @@ plus Python loop overhead *per element per sweep*; the batched drivers
 (PR 3) advance every lane with a handful of whole-vector calls against
 the scatter-accumulated ``batch_cond_ll`` declaration.  This benchmark
 measures per-sweep wall time and elements/second for both paths on a
-model with ``N_ELEMENTS`` element-wise updates, for each of MH, Slice,
-and ESlice.
+model with ``N_ELEMENTS`` element-wise MH updates: ``MH mu`` against
+its ``MH[batch=off] mu`` twin.
 
 Results land in ``BENCH_element_updates.json`` at the repository root.
 The acceptance assertion is on the MH path: the batched driver must be
@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.core.compiler import compile_model
-from repro.core.options import CompileOptions
 from repro.eval.experiments.common import format_table
 from repro.runtime.rng import Rng
 
@@ -48,8 +47,8 @@ def _sampler(batched: bool):
     rng = np.random.default_rng(0)
     hypers = {"N": N_ELEMENTS, "v0": 4.0, "v": 1.0}
     data = {"y": rng.normal(loc=1.0, size=N_ELEMENTS)}
-    options = CompileOptions(batch_elements=batched)
-    return compile_model(MODEL, hypers, data, schedule="MH mu", options=options)
+    schedule = "MH mu" if batched else "MH[batch=off] mu"
+    return compile_model(MODEL, hypers, data, schedule=schedule)
 
 
 def _per_sweep_seconds(sampler, sweeps: int) -> float:

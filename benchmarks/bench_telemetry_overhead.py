@@ -21,9 +21,18 @@ measures that contract on the Figure-1 GMM:
   (which are bulk-emitted after the loop from timing arrays);
 - ``off`` vs ``profile=True`` gives the price of the sweep profiler
   (per-update timer brackets plus wrapped per-decl callables);
-- a streamed run vs the same run with the structured event log armed
-  (JSON-lines sink) and a flight recorder fed per chunk gives the
-  price of the serve-path observability stack.
+- the serve-path observability stack, measured directly like the
+  disabled hooks: the streamed run that counts the hook calls, with the
+  structured event log armed (JSON-lines sink, debug level), also keeps
+  the arguments of its ``log_event`` calls and its chunks, and
+  replaying them times the armed ``log_event`` and
+  ``FlightRecorder.record_chunk`` per call.  Per-call time times calls
+  per run, as a share of the streamed run, is held to <= 2%.  The gate
+  covers these two entry points only, not the ``fields`` the call
+  sites build; the end-to-end difference between a streamed run and
+  the same run with the log armed and a recorder fed per chunk covers
+  everything and is reported too, ungated: at a few microseconds per
+  chunk it is smaller than the run-to-run spread of two ~0.2 s runs.
 
 Results land in ``BENCH_telemetry_overhead.json`` at the repository
 root.
@@ -62,7 +71,10 @@ NUM_SAMPLES = 600 if FULL else 250
 REPEATS = 7 if FULL else 5
 CHUNK = 25
 HOOK_LOOPS = 100_000
+#: Times a streamed run's armed calls are replayed per timing round.
+OBS_REPLAYS = 200
 MAX_OFF_OVERHEAD_PCT = 3.0
+MAX_OBS_OVERHEAD_PCT = 2.0
 RESULTS_JSON = (
     pathlib.Path(__file__).resolve().parents[1] / "BENCH_telemetry_overhead.json"
 )
@@ -96,14 +108,14 @@ def _timed_run(sampler, collect_stats=False, profile=False):
 def _stream_run(sampler, recorder=None):
     """One single-chain streamed run (the serve hot path); with
     ``recorder`` every chunk also feeds the flight recorder, as
-    ``InferenceService._handle`` does.  Returns the chunk count."""
+    ``InferenceService._handle`` does.  Returns the chunks."""
     stream = sampler.stream_chains(
         n_chains=1, num_samples=NUM_SAMPLES, seed=3,
         executor="sequential", collect_stats=True, chunk_size=CHUNK,
     )
-    chunks = 0
+    chunks = []
     for chunk in stream:
-        chunks += 1
+        chunks.append(chunk)
         if recorder is not None:
             recorder.record_chunk(chunk)
     return chunks
@@ -122,14 +134,14 @@ def _median(xs):
 # -- the disabled hooks -----------------------------------------------------
 
 
-def _per_call_ns(call):
+def _per_call_ns(call, loops=HOOK_LOOPS):
     """Best-of-5 time of one call, loop overhead included."""
     best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter_ns()
-        for _ in range(HOOK_LOOPS):
+        for _ in range(loops):
             call()
-        best = min(best, (time.perf_counter_ns() - t0) / HOOK_LOOPS)
+        best = min(best, (time.perf_counter_ns() - t0) / loops)
     return best
 
 
@@ -155,20 +167,23 @@ def _disabled_hook_costs():
 
 
 class _Counted:
+    """An entry point that keeps the ``(args, kwargs)`` of each call."""
+
     def __init__(self, fn):
         self.fn = fn
-        self.calls = 0
+        self.calls = []
 
     def __call__(self, *args, **kwargs):
-        self.calls += 1
+        self.calls.append((args, kwargs))
         return self.fn(*args, **kwargs)
 
 
 def _hook_calls(sampler, sink):
-    """Calls each entry point gets in one streamed run with tracing and
-    the log on.  ``span`` records through ``add_complete``, so those
-    calls are subtracted; a worker drains once per chunk and once for
-    its final message."""
+    """One streamed run with tracing and the log on (JSON-lines sink,
+    debug level): the calls each entry point gets, the ``(args,
+    kwargs)`` of its ``log_event`` calls, and its chunks.  ``span``
+    records through ``add_complete``, so those calls are subtracted; a
+    worker drains once per chunk and once for its final message."""
     tracer = enable_tracing()
     log = configure_event_log(path=sink, level="debug")
     targets = {
@@ -191,10 +206,39 @@ def _hook_calls(sampler, sink):
         disable_tracing()
         tracer.reset()
         log.close()
-    calls = {name: hook.calls for name, hook in hooks.items()}
+    calls = {name: len(hook.calls) for name, hook in hooks.items()}
     calls["add_complete"] -= calls["span"]
-    calls["worker_drain"] = chunks + 1
-    return calls
+    calls["worker_drain"] = len(chunks) + 1
+    return calls, hooks["log_event"].calls, chunks
+
+
+# -- the armed serve-path observability ---------------------------------
+
+
+def _armed_obs_costs(logged, chunks, sink):
+    """Per-call ns of the armed event log (JSON-lines sink, debug level)
+    and of ``record_chunk``, replaying a streamed run's ``log_event``
+    calls and chunks."""
+    log = configure_event_log(path=sink, level="debug")
+    recorder = FlightRecorder("bench")
+
+    def replay_log():
+        for args, kwargs in logged:
+            log_event(*args, **kwargs)
+
+    def replay_chunks():
+        for chunk in chunks:
+            recorder.record_chunk(chunk)
+
+    try:
+        return {
+            "log_event": _per_call_ns(replay_log, OBS_REPLAYS) / len(logged),
+            "record_chunk": (
+                _per_call_ns(replay_chunks, OBS_REPLAYS) / len(chunks)
+            ),
+        }
+    finally:
+        log.close()
 
 
 def test_telemetry_off_overhead_within_budget(report):
@@ -222,7 +266,9 @@ def test_telemetry_off_overhead_within_budget(report):
                 _timed_stream_run(sampler, recorder=FlightRecorder("bench"))
             )
             get_event_log().close()
-        calls = _hook_calls(sampler, obs_sink)
+        calls, logged, chunks = _hook_calls(sampler, obs_sink)
+        obs_ns = _armed_obs_costs(logged, chunks, obs_sink)
+    obs_calls = {"log_event": len(logged), "record_chunk": len(chunks)}
     per_call_ns = _disabled_hook_costs()
 
     off_s = _median(base)
@@ -238,6 +284,10 @@ def test_telemetry_off_overhead_within_budget(report):
     profile_overhead_pct = (profile_s - off_s) / off_s * 100.0
     # Event log + flight recorder are measured against the *streamed*
     # baseline -- they only run on the serve path, which streams chunks.
+    obs_cost_s = {
+        name: obs_ns[name] * obs_calls[name] * 1e-9 for name in obs_ns
+    }
+    obs_pct = sum(obs_cost_s.values()) / stream_s * 100.0
     obslog_overhead_pct = (obs_s - stream_s) / stream_s * 100.0
 
     report(
@@ -257,7 +307,10 @@ def test_telemetry_off_overhead_within_budget(report):
                  f"{profile_overhead_pct:+.2f}%"],
                 ["streamed chunks (serve path)", f"{stream_s:.3f}",
                  "stream baseline"],
-                ["event log + flight recorder", f"{obs_s:.3f}",
+                ["event log + flight recorder (measured per call)",
+                 f"{sum(obs_cost_s.values()):.6f}",
+                 f"{obs_pct:+.3f}% vs stream"],
+                ["event log + flight recorder (end to end)", f"{obs_s:.3f}",
                  f"{obslog_overhead_pct:+.2f}% vs stream"],
             ],
         )
@@ -268,6 +321,15 @@ def test_telemetry_off_overhead_within_budget(report):
                 [name, f"{per_call_ns[name]:.0f}", str(calls[name]),
                  f"{hook_s[name] * 1e6:.1f}"]
                 for name in per_call_ns
+            ],
+        )
+        + "\n\n"
+        + format_table(
+            ["armed serve-path call", "ns/call", "calls/run", "us/run"],
+            [
+                [name, f"{obs_ns[name]:.0f}", str(obs_calls[name]),
+                 f"{obs_cost_s[name] * 1e6:.1f}"]
+                for name in obs_ns
             ],
         ),
     )
@@ -296,13 +358,25 @@ def test_telemetry_off_overhead_within_budget(report):
                 "collect_stats_overhead_pct": stats_overhead_pct,
                 "tracing_overhead_pct": trace_overhead_pct,
                 "profile_overhead_pct": profile_overhead_pct,
-                # Serve-path observability: streamed-chunk baseline vs
-                # event log armed (JSON-lines sink, debug level) plus a
-                # flight recorder fed every chunk.
+                # Serve-path observability: the armed event log
+                # (JSON-lines sink, debug level) and the flight
+                # recorder, per call times calls per streamed run, as a
+                # share of the streamed run (the gated number), and the
+                # end-to-end difference of a streamed run with both on
+                # (reported only).
                 "stream_s": stream_s,
+                "armed_obs": {
+                    name: {
+                        "ns_per_call": obs_ns[name],
+                        "calls_per_run": obs_calls[name],
+                    }
+                    for name in obs_ns
+                },
+                "obslog_flight_pct": obs_pct,
                 "obslog_flight_s": obs_s,
                 "obslog_flight_overhead_pct": obslog_overhead_pct,
                 "max_off_overhead_pct": MAX_OFF_OVERHEAD_PCT,
+                "max_obs_overhead_pct": MAX_OBS_OVERHEAD_PCT,
             },
             indent=2,
         )
@@ -322,4 +396,7 @@ def test_telemetry_off_overhead_within_budget(report):
     # (not per sweep) and the flight recorder appends one dict to a
     # bounded deque per chunk -- amortised across chunk_size sweeps
     # this must stay well under the per-sweep instrumentation costs.
-    assert obslog_overhead_pct <= 25.0
+    assert obs_pct <= MAX_OBS_OVERHEAD_PCT, (
+        f"armed event log + flight recorder cost {obs_pct:.3f}% of a "
+        f"streamed run (budget {MAX_OBS_OVERHEAD_PCT}%)"
+    )

@@ -50,7 +50,6 @@ class Infer:
         self._proposals: dict = {}
         self._sampler: CompiledSampler | None = None
         self._rng = Rng(0)
-        self._tune = False
 
     # -- context manager ---------------------------------------------------
 
@@ -76,15 +75,6 @@ class Infer:
         log_q_ratio)`` for a variable scheduled with the MH update."""
         self._proposals[name] = proposal
 
-    def setTune(self, flag: bool = True) -> None:
-        """Autotune the schedule at :meth:`compile` time: run the
-        trial-sweep tournament of :func:`repro.tune.autotune` around
-        the heuristic (or :meth:`setUserSched`) schedule and compile
-        the measured winner.  Draws are bitwise identical to pinning
-        the winning schedule directly; repeat compiles with the same
-        model shape reuse the cached verdict."""
-        self._tune = flag
-
     # -- compilation ---------------------------------------------------------
 
     def compile(self, *hyper_values):
@@ -106,26 +96,14 @@ class Infer:
                     f"{data_decls}, got {len(data_values)}"
                 )
             data = dict(zip(data_decls, data_values))
-            if self._tune:
-                from repro.tune import autotune
-
-                self._sampler = autotune(
-                    self._source,
-                    bound,
-                    data,
-                    options=self._options,
-                    schedule=self._schedule,
-                    proposals=self._proposals or None,
-                )
-            else:
-                self._sampler = compile_model(
-                    self._source,
-                    bound,
-                    data,
-                    options=self._options,
-                    schedule=self._schedule,
-                    proposals=self._proposals or None,
-                )
+            self._sampler = compile_model(
+                self._source,
+                bound,
+                data,
+                options=self._options,
+                schedule=self._schedule,
+                proposals=self._proposals or None,
+            )
             return self
 
         return with_data
@@ -202,48 +180,6 @@ class Infer:
         :class:`repro.core.chains.ChainResume` (or ``None``) per chain
         to continue checkpointed chains bit-for-bit."""
         return self.sampler.sample_chains(
-            n_chains=nChains,
-            num_samples=numSamples,
-            burn_in=burnIn,
-            thin=thin,
-            seed=seed,
-            collect=collect,
-            executor=executor,
-            n_workers=nWorkers,
-            collect_stats=collect_stats,
-            monitor=monitor,
-            profile=profile,
-            chunk_size=chunkSize,
-            early_stop_rhat=earlyStopRhat,
-            resume=resume,
-            warmup=warmup,
-            target_accept=targetAccept,
-        )
-
-    def streamChains(
-        self,
-        nChains: int,
-        numSamples: int,
-        burnIn: int = 0,
-        thin: int = 1,
-        seed: int = 0,
-        collect: tuple[str, ...] | None = None,
-        executor: str = "sequential",
-        nWorkers: int | None = None,
-        collect_stats: bool = False,
-        monitor=None,
-        profile: bool = False,
-        chunkSize: int | None = None,
-        earlyStopRhat: float | None = None,
-        resume=None,
-        warmup: int = 0,
-        targetAccept: float = 0.8,
-    ):
-        """The streaming form of :meth:`sampleChains`: returns a
-        :class:`repro.core.chains.ChainStream` yielding per-chain draw
-        chunks as workers post them; ``stream.results`` holds the
-        per-chain results once the iterator is exhausted."""
-        return self.sampler.stream_chains(
             n_chains=nChains,
             num_samples=numSamples,
             burn_in=burnIn,

@@ -33,10 +33,10 @@ class StanSampler:
             (p.name, tuple(p.shape), None) for p in model.params
         )
         self._target = FlatLogDensity(
-            lambda: self.posterior.logpdf(self._target.x_views),
-            lambda: self.posterior.grad(self._target.x_views),
             {p.name: IdentityTransform() for p in model.params},
             self._layout,
+            ll_fn=lambda: self.posterior.logpdf(self._target.x_views),
+            grad_fn=lambda: self.posterior.grad(self._target.x_views),
         )
 
     def sample(

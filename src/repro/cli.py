@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -606,7 +607,7 @@ def cmd_request(args) -> int:
         )
     for name, entry in response.get("summary", {}).items():
         for comp, vals in entry.get("components", {}).items():
-            rhat = vals.get("rhat")
+            rhat = math.inf if vals.get("stuck") else vals.get("rhat")
             rhat_s = f"  rhat {rhat:.4f}" if rhat is not None else ""
             print(
                 f"  {comp:24s} mean {vals['mean']:10.4f} "

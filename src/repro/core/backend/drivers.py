@@ -184,7 +184,13 @@ class GibbsDriver(UpdateDriver):
 
 
 class GradBlockDriver(UpdateDriver):
-    """HMC / NUTS over a block of transformed continuous variables."""
+    """HMC / NUTS over a block of transformed continuous variables.
+
+    The compiled density comes in the form the target emitted: the CPU
+    target's fused ``ll_grad_fn`` (one call returns the log density and
+    every adjoint), or the GPU target's separate ``ll_fn``/``grad_fn``
+    kernels.
+    """
 
     #: Adaptation telemetry shared by both methods: the uniform per-draw
     #: acceptance statistic (min(1, alpha); tree-leaf average for NUTS)
@@ -214,13 +220,13 @@ class GradBlockDriver(UpdateDriver):
         self,
         name: str,
         targets,
-        ll_fn,
-        grad_fn,
         transforms: dict[str, Transform],
         pack_plan: PackPlan,
+        step_size: float,
+        n_steps: int,
         method: str = "hmc",
-        step_size: float = 0.05,
-        n_steps: int = 20,
+        ll_fn=None,
+        grad_fn=None,
         ll_grad_fn=None,
     ):
         super().__init__()
@@ -341,6 +347,16 @@ class GradBlockDriver(UpdateDriver):
             return self._flat
         scope = self._flat_scope
 
+        if self._ll_grad_fn is not None:
+            def ll_grad():
+                vals = self._ll_grad_fn(scope, *self._flat_call)
+                return float(vals[0]), dict(zip(self.targets, vals[1:]))
+
+            self._flat = FlatLogDensity(
+                self._transforms, self._pack_plan, ll_grad_fn=ll_grad
+            )
+            return self._flat
+
         def ll():
             (val,) = self._ll_fn(scope, *self._flat_call)
             return float(val)
@@ -349,14 +365,8 @@ class GradBlockDriver(UpdateDriver):
             grads = self._grad_fn(scope, *self._flat_call)
             return dict(zip(self.targets, grads))
 
-        ll_grad = None
-        if self._ll_grad_fn is not None:
-            def ll_grad():
-                vals = self._ll_grad_fn(scope, *self._flat_call)
-                return float(vals[0]), dict(zip(self.targets, vals[1:]))
-
         self._flat = FlatLogDensity(
-            ll, grad, self._transforms, self._pack_plan, ll_grad_fn=ll_grad
+            self._transforms, self._pack_plan, ll_fn=ll, grad_fn=grad
         )
         return self._flat
 

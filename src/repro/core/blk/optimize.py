@@ -44,14 +44,6 @@ class OptimizeConfig:
 
     commute_loops: bool = True
     sum_block_conversion: bool = True
-    #: Fuse ``loopBlk g { parBlk h { s } }`` into ``parBlk h { loop Seq
-    #: g { s } }`` -- one kernel launch instead of ``|g|`` launches, with
-    #: the sequential loop running inside each thread.  This is how the
-    #: enumeration-Gibbs update is actually emitted as a single Cuda
-    #: kernel.
-    fuse_kernel_loops: bool = True
-    commute_factor: int = COMMUTE_FACTOR
-    contention_threshold: int = CONTENTION_THRESHOLD
 
 
 def _gen_extent(gen: Gen, env: dict) -> int | None:
@@ -65,7 +57,7 @@ def _gen_extent(gen: Gen, env: dict) -> int | None:
     return max(0, hi - lo)
 
 
-def _try_commute(blk: ParBlk, env: dict, cfg: OptimizeConfig) -> ParBlk | None:
+def _try_commute(blk: ParBlk, env: dict) -> ParBlk | None:
     """``parBlk g_out { loop g_in { body } }`` with small g_out -> commute."""
     if len(blk.stmts) != 1 or not isinstance(blk.stmts[0], SLoop):
         return None
@@ -81,7 +73,7 @@ def _try_commute(blk: ParBlk, env: dict, cfg: OptimizeConfig) -> ParBlk | None:
     inner_n = _gen_extent(inner.gen, env)
     if outer_n is None or inner_n is None:
         return None
-    if inner_n <= cfg.commute_factor * outer_n:
+    if inner_n <= COMMUTE_FACTOR * outer_n:
         return None
     kind = (
         LoopKind.ATM_PAR
@@ -120,9 +112,7 @@ def _accumulators(stmts: tuple[Stmt, ...]):
     return temps, incs
 
 
-def _try_sum_conversion(
-    blk: ParBlk, env: dict, cfg: OptimizeConfig
-) -> tuple[Blk, ...] | None:
+def _try_sum_conversion(blk: ParBlk, env: dict) -> tuple[Blk, ...] | None:
     if blk.kind is not LoopKind.ATM_PAR:
         return None
     split = _accumulators(blk.stmts)
@@ -134,7 +124,7 @@ def _try_sum_conversion(
         return None
     # Scalar accumulators have one location; the estimated contention
     # ratio is threads / 1.
-    if threads <= cfg.contention_threshold:
+    if threads <= CONTENTION_THRESHOLD:
         return None
     blocks: list[Blk] = []
     for inc in incs:
@@ -194,8 +184,13 @@ def _sink_seq_loop(seq_gen: Gen, stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...] | 
     return (SLoop(LoopKind.SEQ, seq_gen, stmts),)
 
 
-def _try_fuse(blk: LoopBlk, cfg: OptimizeConfig) -> ParBlk | None:
-    """``loopBlk g { parBlk h { s } }`` -> one kernel with g innermost."""
+def _try_fuse(blk: LoopBlk) -> ParBlk | None:
+    """``loopBlk g { parBlk h { s } }`` -> ``parBlk h { loop Seq g { s } }``.
+
+    One kernel launch instead of ``|g|`` launches, with the sequential
+    loop running inside each thread.  This is how the enumeration-Gibbs
+    update is actually emitted as a single Cuda kernel.
+    """
     if len(blk.blocks) != 1 or not isinstance(blk.blocks[0], ParBlk):
         return None
     inner = blk.blocks[0]
@@ -213,10 +208,9 @@ def _try_fuse(blk: LoopBlk, cfg: OptimizeConfig) -> ParBlk | None:
 
 def _optimize_block(blk: Blk, env: dict, cfg: OptimizeConfig) -> tuple[Blk, ...]:
     if isinstance(blk, LoopBlk):
-        if cfg.fuse_kernel_loops:
-            fused = _try_fuse(blk, cfg)
-            if fused is not None:
-                return _optimize_block(fused, env, cfg)
+        fused = _try_fuse(blk)
+        if fused is not None:
+            return _optimize_block(fused, env, cfg)
         inner: list[Blk] = []
         for b in blk.blocks:
             inner.extend(_optimize_block(b, env, cfg))
@@ -224,15 +218,15 @@ def _optimize_block(blk: Blk, env: dict, cfg: OptimizeConfig) -> tuple[Blk, ...]
     if not isinstance(blk, ParBlk):
         return (blk,)
     if cfg.sum_block_conversion:
-        converted = _try_sum_conversion(blk, env, cfg)
+        converted = _try_sum_conversion(blk, env)
         if converted is not None:
             return converted
     if cfg.commute_loops:
-        commuted = _try_commute(blk, env, cfg)
+        commuted = _try_commute(blk, env)
         if commuted is not None:
             # Re-examine the commuted block (it may now convert).
             if cfg.sum_block_conversion:
-                converted = _try_sum_conversion(commuted, env, cfg)
+                converted = _try_sum_conversion(commuted, env)
                 if converted is not None:
                     return converted
             return (commuted,)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backend.cpu import decl_vectorizes, emit_cpu_source, exec_cpu_module
+from repro.core.backend.cpu import emit_cpu_source, exec_cpu_module
 from repro.core.backend.emitter import op_count_code
 from repro.core.backend.drivers import (
     ESliceDriver,
@@ -78,12 +78,17 @@ from repro.core.lowpp.verify import verify_decl
 from repro.core.options import CompileOptions
 from repro.core.provenance import build_source_map
 from repro.core.sampler import CompiledSampler
-from repro.errors import CodegenError, ReproError
+from repro.errors import ReproError
 from repro.gpusim import Device
 from repro.runtime.transforms import transform_for_support
 from repro.runtime.vectors import RaggedArray
 from repro.telemetry import trace
 from repro.telemetry.explain import CompileLedger
+
+#: HMC integrator settings for a gradient block whose schedule entry
+#: pins neither ``step_size`` nor ``steps``.
+DEFAULT_STEP_SIZE = 0.05
+DEFAULT_N_STEPS = 20
 
 
 # ----------------------------------------------------------------------
@@ -368,25 +373,6 @@ def compile_model(
         plan = build_plan(info, env, tuple(ws_specs))
         ragged = _ragged_names(plan, env)
 
-    # Probe each batched conditional: the batched driver is only wired
-    # when every parallel loop of the declaration actually vectorises
-    # (ragged gathers etc. fall back to the scalar per-element path).
-    for _upd, gen_info in driver_specs:
-        batch_low = gen_info.get("batch_low")
-        if batch_low is not None:
-            gen_info["batch_ok"] = decl_vectorizes(batch_low, ragged)
-            if not gen_info["batch_ok"]:
-                gen_info["batch_reason"] = (
-                    "the generated batched conditional does not fully "
-                    "vectorise (a parallel loop falls back to a Python "
-                    "loop), so the scalar per-element path is faster"
-                )
-            trace.instant(
-                "batch.vectorized" if gen_info["batch_ok"] else "batch.fallback",
-                cat="compile",
-                decl=batch_low.decl.name,
-            )
-
     decl_provenance = {low.name: low.provenance for low in decls}
     op_count_exprs = {low.name: op_count_code(low.decl.body) for low in decls}
 
@@ -404,6 +390,24 @@ def compile_model(
             fallback_counts=fallback_counts,
         )
         code = compile(source_text, "<augur_cpu>", "exec")
+    # The batched driver is only wired when every parallel loop of its
+    # conditional vectorised (ragged gathers etc. fall back to the
+    # scalar per-element path).
+    for _upd, gen_info in driver_specs:
+        batch_low = gen_info.get("batch_low")
+        if batch_low is not None:
+            gen_info["batch_ok"] = fallback_counts[batch_low.name] == 0
+            if not gen_info["batch_ok"]:
+                gen_info["batch_reason"] = (
+                    "the generated batched conditional does not fully "
+                    "vectorise (a parallel loop falls back to a Python "
+                    "loop), so the scalar per-element path is faster"
+                )
+            trace.instant(
+                "batch.vectorized" if gen_info["batch_ok"] else "batch.fallback",
+                cat="compile",
+                decl=batch_low.decl.name,
+            )
     for name, n_fallbacks in fallback_counts.items():
         if not options.vectorize:
             choice, why = "python-loops", (
@@ -659,55 +663,37 @@ def _generate_update(
     if method in (UpdateMethod.HMC, UpdateMethod.NUTS):
         blk: BlockConditional = payload
         subject = ",".join(upd.unit.names)
+        if options.target == "cpu":
+            # One declaration returns the log density and every adjoint:
+            # the forward pass is shared, and the adjoints accumulate
+            # into preallocated workspace buffers.
+            fused_decl, fused_ws = gen_ll_grad(blk, fd.lets)
+            out["decls"].append(
+                lower_decl(
+                    fused_decl, workspaces=tuple(w.name for w in fused_ws)
+                )
+            )
+            out["workspaces"].extend(fused_ws)
+            out["names"]["ll_grad"] = fused_decl.name
+            ledger.record(
+                "gradient.fusion", subject, "fused",
+                "the log density and its gradient share one forward "
+                f"pass with workspace adjoint buffers ('{fused_decl.name}')",
+                upd.provenance,
+            )
+            return out
         ll_decl = gen_block_ll(blk, fd.lets)
         grad_decl = gen_grad(blk, fd.lets)
         out["decls"].append(lower_decl(ll_decl))
         out["decls"].append(lower_decl(grad_decl))
         out["names"]["ll"] = ll_decl.name
         out["names"]["grad"] = grad_decl.name
-        if options.target != "cpu":
-            ledger.record(
-                "gradient.fusion", subject, "pair",
-                "the fused value+gradient declaration is CPU-only; the "
-                "GPU target evaluates the separate pair",
-                upd.provenance,
-            )
-        elif not options.fuse_gradient:
-            ledger.record(
-                "gradient.fusion", subject, "pair",
-                "disabled by options (fuse_gradient=False)",
-                upd.provenance,
-            )
-        else:
-            # The fused value+gradient declaration shares the forward
-            # pass and accumulates adjoints into preallocated workspace
-            # buffers.  Decl-level gating: any block fusion cannot
-            # handle falls back to the separate pair above.
-            try:
-                fused_decl, fused_ws = gen_ll_grad(blk, fd.lets)
-            except CodegenError as err:
-                fused_decl = None
-                ledger.record(
-                    "gradient.fusion", subject, "pair",
-                    f"fusion declined: {err}",
-                    upd.provenance,
-                )
-            if fused_decl is not None:
-                out["decls"].append(
-                    lower_decl(
-                        fused_decl,
-                        workspaces=tuple(w.name for w in fused_ws),
-                    )
-                )
-                out["workspaces"].extend(fused_ws)
-                out["names"]["ll_grad"] = fused_decl.name
-                ledger.record(
-                    "gradient.fusion", subject, "fused",
-                    "the log density and its gradient share one forward "
-                    "pass with workspace adjoint buffers "
-                    f"('{fused_decl.name}')",
-                    upd.provenance,
-                )
+        ledger.record(
+            "gradient.fusion", subject, "pair",
+            "the GPU target launches the log density and the gradient "
+            "as separate kernels",
+            upd.provenance,
+        )
         return out
 
     cond: Conditional = payload
@@ -724,8 +710,6 @@ def _generate_update(
         out["batch_reason"] = (
             "whole-module vectorisation is disabled (vectorize=False)"
         )
-    elif not options.batch_elements:
-        out["batch_reason"] = "disabled by options (batch_elements=False)"
     elif upd.opt("batch") == "off":
         out["batch_reason"] = (
             "disabled for this update by the schedule ([batch=off])"
@@ -771,22 +755,21 @@ def _make_driver(
         for t in target_list:
             support = _support_of(t, plan, upd)
             transforms[t] = transform_for_support(support)
-        ll_grad_name = names.get("ll_grad")
+        # ``names`` holds what the target emitted: the fused ``ll_grad``
+        # (CPU) or the ``ll``/``grad`` pair (GPU).
         drv = GradBlockDriver(
-            name=names["ll"],
+            name=names.get("ll_grad") or names["ll"],
             targets=target_list,
-            ll_fn=bind(names["ll"]),
-            grad_fn=bind(names["grad"]),
             transforms=transforms,
-            method="nuts" if method is UpdateMethod.NUTS else "hmc",
-            step_size=float(upd.opt("step_size", options.hmc_step_size)),
-            n_steps=int(upd.opt("steps", options.hmc_steps)),
-            ll_grad_fn=bind(ll_grad_name) if ll_grad_name else None,
             pack_plan=build_pack_plan(plan, target_list),
+            method="nuts" if method is UpdateMethod.NUTS else "hmc",
+            step_size=float(upd.opt("step_size", DEFAULT_STEP_SIZE)),
+            n_steps=int(upd.opt("steps", DEFAULT_N_STEPS)),
+            **{f"{kind}_fn": bind(decl) for kind, decl in names.items()},
         )
-        drv.profile_fns = {"_ll_fn": names["ll"], "_grad_fn": names["grad"]}
-        if ll_grad_name:
-            drv.profile_fns["_ll_grad_fn"] = ll_grad_name
+        drv.profile_fns = {
+            f"_{kind}_fn": decl for kind, decl in names.items()
+        }
         drv.user_step_size = upd.opt("step_size", None) is not None
         if drv.user_step_size:
             a_choice, a_why = "fixed step size", (

@@ -1,10 +1,11 @@
 """Hamiltonian Monte Carlo driver over a block of transformed variables.
 
-The generated code supplies two callables -- the block log density and
-its gradient, both on the *constrained* space -- and the driver runs
-leapfrog on the unconstrained space, chain-ruling through the
-element-wise transforms and adding their log-Jacobians (the standard
-change of variables).  This is the library half of the paper's HMC
+The generated code supplies the block log density and its gradient, both
+on the *constrained* space -- one fused call on the CPU target, two
+separate kernels on the GPU target -- and the driver runs leapfrog on
+the unconstrained space, chain-ruling through the element-wise
+transforms and adding their log-Jacobians (the standard change of
+variables).  This is the library half of the paper's HMC
 update; the Leapfrog integrator here corresponds to the ~30 lines of C
 the paper cites for adding HMC (Section 7.1).
 
@@ -13,10 +14,9 @@ compile-time :class:`~repro.core.lowmm.size_inference.PackPlan` (a
 ragged variable is one slot over its flat buffer, the paper's Section
 6.2 representation).  :class:`FlatLogDensity` evaluates the block on
 that vector: leapfrog reduces to whole-vector in-place axpy ops
-(:func:`hmc_step_flat`), the constrained point and log-Jacobian are
+(:func:`hmc_step_flat`), and the constrained point and log-Jacobian are
 computed once per distinct point and shared between value and
-gradient, and a fused value+gradient compiled call (when available)
-serves both in a single evaluation.
+gradient.
 """
 
 from __future__ import annotations
@@ -64,26 +64,36 @@ class FlatLogDensity:
     the compiled-function boundary is then a slice-wise transform into
     those views, with no dict or array construction per call.
 
+    The density comes in one of two forms.  The *fused* form
+    (``ll_grad_fn``, what the CPU target compiles) returns the log
+    density and every adjoint from one call, so a ``value`` request
+    caches the gradient at the same point and vice versa.  The *pair*
+    form (``ll_fn`` and ``grad_fn``) evaluates each on demand; the GPU
+    target, whose log-density and gradient are separate kernels, and the
+    Stan baseline use it.
+
     Per distinct unconstrained point the transforms run once
-    (``_ensure_point``), shared by value, gradient, and the fused
-    value+gradient compiled call (``ll_grad_fn``, when the compiler
-    emitted one).  ``invalidate`` must be called whenever the rest of
-    the environment may have changed (the start of every driver step):
-    the cached density values are conditional on it.
+    (``_ensure_point``), shared by value and gradient.  ``invalidate``
+    must be called whenever the rest of the environment may have changed
+    (the start of every driver step): the cached density values are
+    conditional on it.
     """
 
     def __init__(
         self,
-        ll_fn,
-        grad_fn,
         transforms: dict[str, Transform],
         layout,
+        *,
+        ll_fn=None,
+        grad_fn=None,
         ll_grad_fn=None,
     ):
+        if ll_grad_fn is None and (ll_fn is None or grad_fn is None):
+            raise TypeError("pass ll_grad_fn, or both ll_fn and grad_fn")
         self.layout = layout
         self._ll = ll_fn            # () -> float, reads the live views
         self._grad = grad_fn        # () -> {name: d ll / d constrained}
-        self._ll_grad = ll_grad_fn  # () -> (float, {name: adjoint}) | None
+        self._ll_grad = ll_grad_fn  # () -> (float, {name: adjoint})
         n = layout.total
         self._x = np.zeros(n, dtype=np.float64)
         #: Per-variable views into the flat constrained buffer.
@@ -161,20 +171,16 @@ class FlatLogDensity:
     def value(self, z: np.ndarray) -> float:
         self._ensure_point(z)
         if not self._have_lp:
-            self._lp = float(self._ll()) + self._ljac
-            self._have_lp = True
+            if self._ll_grad is not None:
+                self._eval_fused()
+            else:
+                self._lp = float(self._ll()) + self._ljac
+                self._have_lp = True
         return self._lp
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         """The gradient at ``z``; returns the *internal* buffer (read it
-        before the next evaluation, or copy).
-
-        Prefers the fused compiled call even for gradient-only requests:
-        the fused body evaluates the shared forward pass once, which is
-        cheaper than the standalone adjoint function re-deriving it, and
-        the log density rides along for free (cached for a later
-        ``value`` at the same point).
-        """
+        before the next evaluation, or copy)."""
         self._ensure_point(z)
         if not self._have_grad:
             if self._ll_grad is not None:
@@ -184,14 +190,11 @@ class FlatLogDensity:
         return self._g
 
     def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Both in one pass -- a single compiled call when fused code is
-        available, the separate pair otherwise (identical numerics)."""
-        self._ensure_point(z)
-        if self._have_lp and self._have_grad:
-            return self._lp, self._g
+        """Both at ``z``: one compiled call in the fused form, the
+        separate pair otherwise (identical numerics)."""
         if self._ll_grad is not None:
-            self._eval_fused()
-            return self._lp, self._g
+            # The fused call that produced the value filled the gradient.
+            return self.value(z), self._g
         return self.value(z), self.grad(z)
 
 

@@ -36,6 +36,7 @@ match the CLI.  ``data`` values follow the CLI input coercion rules
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.core.chains import EXECUTORS
@@ -294,9 +295,23 @@ def http_response(
 
 
 def json_response(status: int, payload) -> bytes:
+    """``payload`` as a JSON response.  JSON has no number for a nan or
+    infinite float (an unknown R-hat or ESS, the R-hat of chains stuck
+    at different values): in the payload's dicts and lists such a value
+    is sent as ``null``."""
     return http_response(
-        status, json.dumps(payload, default=_json_default).encode()
+        status, json.dumps(_finite(payload), default=_json_default).encode()
     )
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def error_response(status: int, message: str) -> bytes:

@@ -62,7 +62,13 @@ def _components(value) -> list[tuple[str, np.ndarray]]:
 def summarize_chains(chain_samples: list[dict]) -> dict:
     """Per-parameter posterior summary over the chains' common prefix:
     mean/std pooled across chains plus split R-hat per tracked
-    component (``None`` with a single chain or too few draws).
+    component (absent with a single chain or too few draws).
+
+    An R-hat is nan where it is unknown and ``inf`` where the chains are
+    stuck at different values; such a component also reads ``"stuck":
+    True``, because the encoded response sends nan and ``inf`` alike as
+    ``null``.  An entry's ``worst_rhat`` is its largest R-hat that is
+    not nan.
 
     Ragged parameters (list storage) are reported by draw count only.
     """
@@ -99,7 +105,9 @@ def summarize_chains(chain_samples: list[dict]) -> dict:
                     split_potential_scale_reduction(np.stack(series))
                 )
                 comp["rhat"] = rhat
-                if np.isfinite(rhat):
+                if math.isinf(rhat):
+                    comp["stuck"] = True
+                if not math.isnan(rhat):
                     worst = rhat if worst is None else max(worst, rhat)
             comps[name + suffix] = comp
         entry["components"] = comps
@@ -107,13 +115,6 @@ def summarize_chains(chain_samples: list[dict]) -> dict:
             entry["worst_rhat"] = worst
         out[name] = entry
     return out
-
-
-def _json_number(value: float) -> float | None:
-    """``value``, or ``None`` where JSON has no number for it: nan (an
-    unknown R-hat or ESS) and the infinite R-hat of chains stuck at
-    different values."""
-    return value if math.isfinite(value) else None
 
 
 def _worst_rhat(summary: dict) -> float | None:
@@ -375,14 +376,13 @@ class InferenceService:
             response["tuning"] = {
                 "cache": report["cache"],
                 "schedule": report["winner"]["schedule"],
-                "options": report["winner"]["options"],
                 "margin": report.get("margin"),
                 "tuning_seconds": report.get("tuning_seconds"),
             }
         if stream.monitor is not None:
             response["monitor"] = {
-                "worst_rhat": _json_number(stream.monitor.worst_rhat()),
-                "min_ess": _json_number(stream.monitor.min_ess()),
+                "worst_rhat": stream.monitor.worst_rhat(),
+                "min_ess": stream.monitor.min_ess(),
             }
         if req.return_draws:
             # Process-executor draws are views of the run's shared
@@ -594,7 +594,7 @@ class InferenceService:
         if chunk.info:
             event["info"] = chunk.info
         if stream.monitor is not None:
-            event["worst_rhat"] = _json_number(stream.monitor.worst_rhat())
+            event["worst_rhat"] = stream.monitor.worst_rhat()
         return event
 
     def _cache_block(

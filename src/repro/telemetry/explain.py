@@ -2,8 +2,9 @@
 
 The compiler makes several silent, performance-critical decisions per
 model: which update kind each variable gets, whether an element update
-runs batched or scalar, whether HMC/NUTS gets the fused value+gradient
-declaration or the separate pair, whether a decl emitted
+runs batched or scalar, which form each HMC/NUTS block's density takes
+(the CPU target's fused value+gradient declaration or the GPU target's
+separate pair), whether a decl emitted
 whole-vector NumPy or fell back to Python loops, and whether
 the compile cache served the whole compilation.  Each of those now
 appends a structured :class:`Decision` -- ``(decision, subject, choice,

@@ -266,10 +266,6 @@ def _tournament_section(report: dict | None) -> str:
             f"<td>{_esc(c['verdict'])}</td></tr>"
         )
     winner = report.get("winner") or {}
-    opts = winner.get("options") or {}
-    opts_note = (
-        f" with options {_esc(opts)}" if opts else ""
-    )
     cache = report.get("cache", "miss")
     cache_note = (
         "cached verdict reused &mdash; trial sweeps skipped"
@@ -281,7 +277,7 @@ def _tournament_section(report: dict | None) -> str:
     return (
         "<h2>Schedule tournament</h2>"
         f"<p>winner: <code>{_esc(winner.get('schedule', ''))}</code>"
-        f"{opts_note} &middot; margin {_fmt_gain(report.get('margin'))} "
+        f" &middot; margin {_fmt_gain(report.get('margin'))} "
         f"&middot; {cache_note} &middot; shape key "
         f"<code>{_esc((report.get('shape_key') or '')[:16])}</code></p>"
         "<table><tr><th>candidate</th><th>schedule</th>"

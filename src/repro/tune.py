@@ -9,9 +9,9 @@ with measurement:
 
 1. **Enumerate** a bounded candidate set around the baseline schedule:
    per-block method alternatives (Gibbs vs. MH vs. Slice/ESlice where
-   each validates), ``batch=off`` twins for element-wise updates,
-   HMC<->NUTS for the gradient block, and the ``fuse_gradient``
-   compile-option variant.
+   each validates), ``batch=off`` twins for element-wise updates, and
+   HMC<->NUTS for the gradient block.  Every candidate compiles with
+   the caller's options: the tournament varies the schedule only.
 2. **Trial** each candidate with a short probe round and, for the
    survivors, a longer trial round -- every trial on its own fresh
    :class:`~repro.runtime.rng.Rng` stream, so the caller's production
@@ -45,7 +45,7 @@ from repro.core.frontend.symbols import analyze_model
 from repro.core.frontend.typecheck import type_of_value
 from repro.core.kernel.heuristic import heuristic_schedule
 from repro.core.kernel.ir import KBase, UpdateMethod, compose, flatten
-from repro.core.kernel.schedule import format_schedule, format_update, parse_schedule
+from repro.core.kernel.schedule import format_schedule, parse_schedule
 from repro.core.kernel.validate import validate_schedule
 from repro.core.options import CompileOptions
 from repro.errors import ParseError, ReproError, ScheduleError
@@ -64,9 +64,6 @@ ELIMINATION_FACTOR = 3.0
 #: The winner must beat the baseline by at least this relative margin
 #: (hysteresis: measurement noise must not flip schedules).
 MIN_GAIN = 0.05
-
-#: CompileOptions fields the tuner is allowed to vary per candidate.
-_TUNABLE_OPTION_FIELDS = ("fuse_gradient",)
 
 _ELEMENTWISE = (UpdateMethod.MH, UpdateMethod.SLICE, UpdateMethod.ESLICE)
 
@@ -130,13 +127,12 @@ def load_tuning_cache(path) -> int:
 
 @dataclass
 class Candidate:
-    """One tournament entry: a schedule string plus compile options."""
+    """One tournament entry: a schedule string."""
 
     label: str
     schedule: str
-    options: CompileOptions
     #: What was varied relative to the baseline: ``baseline``,
-    #: ``method``, ``batch``, ``grad-method``, or ``grad-options``.
+    #: ``method``, ``batch``, or ``grad-method``.
     kind: str
     probe_s_per_sweep: float | None = None
     s_per_sweep: float | None = None
@@ -151,18 +147,10 @@ class Candidate:
     #: Top per-update attribution rows from the trial-round profile.
     profile_updates: list = field(default_factory=list)
 
-    def options_delta(self, base: CompileOptions) -> dict:
-        return {
-            f: getattr(self.options, f)
-            for f in _TUNABLE_OPTION_FIELDS
-            if getattr(self.options, f) != getattr(base, f)
-        }
-
-    def to_dict(self, base_options: CompileOptions) -> dict:
+    def to_dict(self) -> dict:
         return {
             "label": self.label,
             "schedule": self.schedule,
-            "options": self.options_delta(base_options),
             "kind": self.kind,
             "probe_s_per_sweep": self.probe_s_per_sweep,
             "s_per_sweep": self.s_per_sweep,
@@ -198,31 +186,26 @@ def enumerate_candidates(
     """The bounded candidate set around a baseline schedule.
 
     One change per candidate: a single update's method, one update's
-    ``batch`` flag, the gradient block's method, or the gradient
-    block's ``fuse_gradient`` option.  Returns ``(candidates, dropped)``
-    where ``dropped`` counts eligible candidates cut by
-    ``max_candidates`` (baseline always survives the cap and comes
-    first).
+    ``batch`` flag, or the gradient block's method.  Returns
+    ``(candidates, dropped)`` where ``dropped`` counts eligible
+    candidates cut by ``max_candidates`` (baseline always survives the
+    cap and comes first).
     """
     updates = flatten(baseline_kernel)
     baseline = Candidate(
         label="baseline",
         schedule=format_schedule(baseline_kernel),
-        options=options,
         kind="baseline",
     )
     out: list[Candidate] = [baseline]
-    seen = {(baseline.schedule, repr(options))}
+    seen = {baseline.schedule}
 
-    def add(label, kernel, opts, kind) -> None:
+    def add(label, kernel, kind) -> None:
         sched = format_schedule(kernel)
-        key = (sched, repr(opts))
-        if key in seen:
+        if sched in seen or not _validates(kernel, fd, info, options):
             return
-        if not _validates(kernel, fd, info, opts):
-            return
-        seen.add(key)
-        out.append(Candidate(label=label, schedule=sched, options=opts, kind=kind))
+        seen.add(sched)
+        out.append(Candidate(label=label, schedule=sched, kind=kind))
 
     for i, upd in enumerate(updates):
         if upd.method.needs_gradient:
@@ -240,11 +223,7 @@ def enumerate_candidates(
             )
             swapped = KBase(method=other, unit=upd.unit, options=opts)
             add(f"{other.value} {upd.unit}", _swap(updates, i, swapped),
-                options, "grad-method")
-            if options.fuse_gradient:
-                add(f"{format_update(upd)} fuse_gradient=off",
-                    compose(updates), options.replace(fuse_gradient=False),
-                    "grad-options")
+                "grad-method")
             continue
         if not upd.unit.is_single:
             continue
@@ -253,15 +232,14 @@ def enumerate_candidates(
                 continue
             alt = KBase(method=method, unit=upd.unit)
             add(f"{method.value} {upd.unit}", _swap(updates, i, alt),
-                options, "method")
-        if upd.method in _ELEMENTWISE and options.batch_elements:
-            if upd.opt("batch") is None:
-                off = KBase(
-                    method=upd.method, unit=upd.unit,
-                    options=upd.options + (("batch", "off"),),
-                )
-                add(f"{upd.method.value}[batch=off] {upd.unit}",
-                    _swap(updates, i, off), options, "batch")
+                "method")
+        if upd.method in _ELEMENTWISE and upd.opt("batch") is None:
+            off = KBase(
+                method=upd.method, unit=upd.unit,
+                options=upd.options + (("batch", "off"),),
+            )
+            add(f"{upd.method.value}[batch=off] {upd.unit}",
+                _swap(updates, i, off), "batch")
 
     dropped = max(0, len(out) - max_candidates)
     return out[:max_candidates], dropped
@@ -285,7 +263,7 @@ def _first_component(arr: np.ndarray) -> np.ndarray:
 
 
 def _trial(
-    cand: Candidate, source, hyper_values, data_values, proposals,
+    cand: Candidate, source, hyper_values, data_values, options, proposals,
     sweeps: int, collect: tuple[str, ...], ess_vars: tuple[str, ...],
 ) -> tuple[float, float | None, list]:
     """One measured run of ``sweeps`` trial sweeps on a fresh stream.
@@ -294,7 +272,7 @@ def _trial(
     """
     sampler = compile_model(
         source, hyper_values, data_values,
-        options=cand.options, schedule=cand.schedule, proposals=proposals,
+        options=options, schedule=cand.schedule, proposals=proposals,
     )
     result = sampler.sample(
         num_samples=sweeps, seed=Rng(TRIAL_SEED), collect=collect,
@@ -359,7 +337,7 @@ def autotune(
     """Tune the schedule by measurement and compile the winner.
 
     Returns a :class:`~repro.core.sampler.CompiledSampler` compiled
-    with the tournament winner's schedule string and options, carrying
+    with the tournament winner's schedule string, carrying
     the tournament as ``sampler.tune_report`` plus ``tune.*`` ledger
     entries.  Sampling from it with the caller's seed is bitwise
     identical to compiling the winner's schedule directly: trials run
@@ -384,8 +362,7 @@ def autotune(
         report["tuning_seconds"] = time.perf_counter() - t0
         return _finish(
             source, hyper_values, data_values, options, proposals,
-            verdict["schedule"], verdict.get("options_delta") or {},
-            report, executor, n_workers,
+            verdict["schedule"], report, executor, n_workers,
         )
     if use_cache:
         _verdict_stats.misses += 1
@@ -419,7 +396,7 @@ def autotune(
     for cand in candidates:
         try:
             cand.probe_s_per_sweep, _, _ = _trial(
-                cand, source, hyper_values, data_values, proposals,
+                cand, source, hyper_values, data_values, options, proposals,
                 probe_sweeps, collect, (),
             )
         except Exception as exc:  # candidate compiles are speculative
@@ -444,7 +421,7 @@ def autotune(
         ess_vars = grad_vars if cand.kind in ("baseline", "grad-method") else ()
         try:
             cand.s_per_sweep, cand.ess_per_s, cand.profile_updates = _trial(
-                cand, source, hyper_values, data_values, proposals,
+                cand, source, hyper_values, data_values, options, proposals,
                 trial_sweeps, collect, ess_vars,
             )
         except Exception as exc:
@@ -483,39 +460,30 @@ def autotune(
         "cache": "miss",
         "shape_key": shape_key,
         "baseline_schedule": baseline.schedule,
-        "winner": winner.to_dict(options),
+        "winner": winner.to_dict(),
         "margin": winner.gain,
         "probe_sweeps": probe_sweeps,
         "trial_sweeps": trial_sweeps,
         "dropped_candidates": dropped,
-        "candidates": [c.to_dict(options) for c in candidates],
+        "candidates": [c.to_dict() for c in candidates],
         "tuning_seconds": time.perf_counter() - t0,
     }
-    verdict = {
-        "schedule": winner.schedule,
-        "options_delta": winner.options_delta(options),
-        "tournament": report,
-    }
     if use_cache:
-        _verdicts[shape_key] = verdict
+        _verdicts[shape_key] = {"schedule": winner.schedule, "tournament": report}
     return _finish(
         source, hyper_values, data_values, options, proposals,
-        winner.schedule, verdict["options_delta"], report,
-        executor, n_workers,
+        winner.schedule, report, executor, n_workers,
     )
 
 
 def _finish(
     source, hyper_values, data_values, options, proposals,
-    winner_schedule, options_delta, report, executor, n_workers,
+    winner_schedule, report, executor, n_workers,
 ):
     """Compile the winner, attach the tournament, prewarm its pool."""
-    winner_options = (
-        options.replace(**options_delta) if options_delta else options
-    )
     sampler = compile_model(
         source, hyper_values, data_values,
-        options=winner_options, schedule=winner_schedule, proposals=proposals,
+        options=options, schedule=winner_schedule, proposals=proposals,
     )
     sampler.tune_report = report
     if sampler.ledger is not None:
@@ -606,8 +574,5 @@ def render_tournament(report: dict) -> str:
             f"  ({report['dropped_candidates']} further candidates cut by "
             "the candidate cap)"
         )
-    winner = report["winner"]
-    lines.append(f"  winner: {winner['schedule']}")
-    if winner.get("options"):
-        lines.append(f"  winner options: {winner['options']}")
+    lines.append(f"  winner: {report['winner']['schedule']}")
     return "\n".join(lines)

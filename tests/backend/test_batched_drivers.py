@@ -4,15 +4,14 @@ Covers: acceptance-decision equivalence between the batched and scalar
 MH paths under a controlled random stream, per-lane density agreement
 between ``batch_cond_ll_*`` and the scalar ``cond_ll_*``, stat-schema
 and label parity, and the fallback matrix (vector elements, user
-proposals, ``batch=off``, ``batch_elements=False``, ragged gathers the
-vectoriser declines).
+proposals, ``batch=off``, ragged gathers the vectoriser declines).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend.cpu import decl_vectorizes
+from repro.core.backend.cpu import emit_function
 from repro.core.backend.drivers import (
     ESliceDriver,
     MHDriver,
@@ -21,6 +20,7 @@ from repro.core.backend.drivers import (
     VectorizedMHDriver,
     VectorizedSliceDriver,
 )
+from repro.core.backend.emitter import SourceBuilder
 from repro.core.compiler import compile_model
 from repro.core.exprs import Call, Gen, IntLit, RealLit, Var
 from repro.core.lowpp.ir import (
@@ -33,7 +33,6 @@ from repro.core.lowpp.ir import (
     SLoop,
 )
 from repro.core.lowmm.ir import lower_decl
-from repro.core.options import CompileOptions
 from repro.runtime.rng import Rng
 from repro.runtime.vectors import RaggedArray
 
@@ -52,8 +51,8 @@ RAGGED_ELEMENTS = """
 """
 
 # The data factor gathers ``t`` through ``c[d][0]`` -- a ragged read the
-# vectoriser declines (not the flat pair layout), so the compile-time
-# probe must reject the batched declaration and keep the scalar driver.
+# vectoriser declines (not the flat pair layout), so the compiler must
+# reject the batched declaration and keep the scalar driver.
 RAGGED_GATHER = """
 (D, K, L, pi, v0, v) => {
   param t[k] ~ Normal(0.0, v0) for k <- 0 until K ;
@@ -105,9 +104,6 @@ def only_update(sampler):
     return sampler.updates[0]
 
 
-NO_BATCH = CompileOptions(batch_elements=False)
-
-
 # ----------------------------------------------------------------------
 # Driver selection and fallback matrix.
 # ----------------------------------------------------------------------
@@ -129,15 +125,6 @@ def test_batched_driver_selected_for_ragged_pair_model():
     hypers, data = ragged_inputs()
     upd = only_update(compile_model(RAGGED_ELEMENTS, hypers, data, schedule="MH t"))
     assert type(upd) is VectorizedMHDriver
-
-
-def test_option_batch_elements_false_falls_back():
-    hypers, data = nn_inputs()
-    upd = only_update(
-        compile_model(NORMAL_ELEMENTS, hypers, data, schedule="MH mu", options=NO_BATCH)
-    )
-    assert type(upd) is MHDriver
-    assert not upd.is_batched
 
 
 def test_schedule_batch_off_falls_back():
@@ -182,7 +169,7 @@ def test_vector_element_mh_falls_back_but_eslice_batches():
 def test_ragged_gather_model_falls_back_to_scalar():
     # Statically eligible (single lane occurrence per factor) but the
     # generated scatter gathers ``c[d][0]`` out of a ragged array, which
-    # the vectoriser declines -- the probe must engage the scalar path.
+    # the vectoriser declines -- the compiler must keep the scalar path.
     rng = np.random.default_rng(3)
     d, k = 12, 3
     lengths = rng.integers(1, 4, size=d)
@@ -213,16 +200,22 @@ def _nest_decl(name, params, body):
     )
 
 
-def test_decl_vectorizes_probe():
-    # A guarded reduction into a cell fixed per row still declines: the
-    # loop summed each row's selected lanes compacted, which nest mode
-    # cannot reproduce bitwise.
+def _fallbacks(low) -> int:
+    """How many parallel loops of ``low`` emit as Python loops."""
+    return emit_function(SourceBuilder(), low, frozenset())
+
+
+def test_emit_fallback_count_gates_batching():
+    # The compiler wires a batched driver only when its conditional
+    # emits with no Python-loop fallback.  A guarded reduction into a
+    # cell fixed per row still declines: the loop summed each row's
+    # selected lanes compacted, which nest mode cannot reproduce bitwise.
     guarded_row_sum = SIf(
         Call("==", (Var("flag")[Var("i")][Var("j")], IntLit(1))),
         (SAssign(LValue("out", (Var("i"),)), AssignOp.INC, RealLit(1.0)),),
     )
     bad = _nest_decl("probe_bad", ("M", "N", "flag", "out"), (guarded_row_sum,))
-    assert not decl_vectorizes(bad, frozenset())
+    assert _fallbacks(bad) > 0
 
     flat = SLoop(
         LoopKind.PAR,
@@ -232,14 +225,14 @@ def test_decl_vectorizes_probe():
     good = LDecl(
         name="probe_good", params=("N", "out"), body=(flat,), ret=(Var("out"),)
     )
-    assert decl_vectorizes(lower_decl(good), frozenset())
+    assert _fallbacks(lower_decl(good)) == 0
     # A rectangular nest runs whole on the flattened batch.
     out_store = SAssign(
         LValue("out", (Var("i"), Var("j"))), AssignOp.SET, RealLit(1.0)
     )
-    assert decl_vectorizes(
-        _nest_decl("probe_nest", ("M", "N", "out"), (out_store,)), frozenset()
-    )
+    assert _fallbacks(
+        _nest_decl("probe_nest", ("M", "N", "out"), (out_store,))
+    ) == 0
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +327,7 @@ def test_mh_accept_decisions_match_scalar():
     hypers, data = nn_inputs(n=n, seed=4)
     batched = compile_model(NORMAL_ELEMENTS, hypers, data, schedule="MH mu")
     scalar = compile_model(
-        NORMAL_ELEMENTS, hypers, data, schedule="MH mu", options=NO_BATCH
+        NORMAL_ELEMENTS, hypers, data, schedule="MH[batch=off] mu"
     )
     assert only_update(batched).is_batched
     assert not only_update(scalar).is_batched
@@ -366,15 +359,18 @@ def test_mh_accept_decisions_match_scalar():
 
 def test_stat_schema_and_label_parity():
     hypers, data = nn_inputs()
-    for sched in ("MH mu", "Slice mu", "ESlice mu"):
-        b = only_update(compile_model(NORMAL_ELEMENTS, hypers, data, schedule=sched))
+    for method in ("MH", "Slice", "ESlice"):
+        b = only_update(
+            compile_model(NORMAL_ELEMENTS, hypers, data, schedule=f"{method} mu")
+        )
         s = only_update(
             compile_model(
-                NORMAL_ELEMENTS, hypers, data, schedule=sched, options=NO_BATCH
+                NORMAL_ELEMENTS, hypers, data, schedule=f"{method}[batch=off] mu"
             )
         )
-        assert b.stat_fields() == s.stat_fields(), sched
-        assert b.label == s.label, sched
+        assert b.is_batched and not s.is_batched, method
+        assert b.stat_fields() == s.stat_fields(), method
+        assert b.label == s.label, method
 
 
 def test_sweep_records_lane_aggregated():
@@ -382,7 +378,7 @@ def test_sweep_records_lane_aggregated():
     hypers, data = nn_inputs(n=n)
     batched = compile_model(NORMAL_ELEMENTS, hypers, data, schedule="MH mu")
     scalar = compile_model(
-        NORMAL_ELEMENTS, hypers, data, schedule="MH mu", options=NO_BATCH
+        NORMAL_ELEMENTS, hypers, data, schedule="MH[batch=off] mu"
     )
     res_b = batched.sample(60, seed=5, collect_stats=True)
     res_s = scalar.sample(60, seed=5, collect_stats=True)

@@ -1,10 +1,12 @@
-"""Compiled fused-gradient parity on a real model.
+"""Fused-gradient parity on a real model: CPU target against GPU target.
 
-The acceptance contract for the fused codegen path: with the same seed,
-HMC and NUTS trajectories are *bitwise identical* with fusion on vs.
-off (both run the packed flat-state integrator; fusion only changes how
-many compiled calls produce the same numbers).  Sweep telemetry must
-not change shape or meaning under the option.
+Each target compiles a gradient block one way: the CPU target emits one
+fused ``ll_grad_<block>`` declaration, the GPU target the separate
+``block_ll_<block>``/``grad_<block>`` kernels.  Both run the packed
+flat-state integrator on the same numbers, so with the same seed HMC
+and NUTS draws -- and every sweep statistic -- are bitwise identical
+across targets, with or without warmup adaptation.  The GPU target is
+the reference the fused path is held to.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from repro.eval.experiments.hlr import _hlr_inputs
 
 HMC_SCHED = "HMC[steps=5, step_size=0.05] (sigma2, b, theta)"
 NUTS_SCHED = "NUTS[step_size=0.05] (sigma2, b, theta)"
+ADAPTED_SCHED = "NUTS (sigma2, b, theta)"
+WARMUP = {HMC_SCHED: 0, NUTS_SCHED: 0, ADAPTED_SCHED: 20}
+
+GPU = CompileOptions(target="gpu")
 
 
 @pytest.fixture(scope="module")
@@ -28,53 +34,61 @@ def hlr_inputs():
     return _hlr_inputs(data)
 
 
-def _compile(hlr_inputs, schedule, **opts):
-    hypers, observed = hlr_inputs
-    options = CompileOptions(**opts) if opts else None
-    return compile_model(
-        models.HLR, hypers, observed, schedule=schedule, options=options
-    )
+def _run_both(source, hypers, observed, schedule, warmup=0, **kw):
+    """The same seeded run on the CPU and the GPU target."""
+    return [
+        compile_model(
+            source, hypers, observed, schedule=schedule, options=options
+        ).sample(num_samples=12, seed=7, warmup=warmup, **kw)
+        for options in (None, GPU)
+    ]
 
 
-@pytest.mark.parametrize("schedule", [HMC_SCHED, NUTS_SCHED])
+def _assert_stats_equal(r_cpu, r_gpu):
+    st_cpu, st_gpu = r_cpu.stats.to_dict(), r_gpu.stats.to_dict()
+    assert st_cpu.keys() == st_gpu.keys()
+    for k in st_cpu:
+        np.testing.assert_array_equal(
+            st_cpu[k], st_gpu[k], err_msg=f"stat {k} differs across targets"
+        )
+
+
+@pytest.mark.parametrize("schedule", list(WARMUP))
 def test_fused_draws_bitwise_identical(hlr_inputs, schedule):
-    s_fused = _compile(hlr_inputs, schedule)
-    s_plain = _compile(hlr_inputs, schedule, fuse_gradient=False)
-    r_fused = s_fused.sample(num_samples=12, seed=7)
-    r_plain = s_plain.sample(num_samples=12, seed=7)
+    r_cpu, r_gpu = _run_both(
+        models.HLR, *hlr_inputs, schedule, warmup=WARMUP[schedule]
+    )
     for k in ("sigma2", "b", "theta"):
         np.testing.assert_array_equal(
-            r_fused.array(k), r_plain.array(k),
-            err_msg=f"fused vs unfused draws differ for {k} ({schedule})",
+            r_cpu.array(k), r_gpu.array(k),
+            err_msg=f"CPU vs GPU draws differ for {k} ({schedule})",
         )
 
 
 def test_fused_decl_in_generated_source(hlr_inputs):
-    s_fused = _compile(hlr_inputs, HMC_SCHED)
-    s_plain = _compile(hlr_inputs, HMC_SCHED, fuse_gradient=False)
-    assert "ll_grad_sigma2_b_theta" in s_fused.source
-    assert "ll_grad_" not in s_plain.source
+    cpu = compile_model(models.HLR, *hlr_inputs, schedule=HMC_SCHED)
+    gpu = compile_model(
+        models.HLR, *hlr_inputs, schedule=HMC_SCHED, options=GPU
+    )
+    assert "def ll_grad_sigma2_b_theta(" in cpu.source
+    assert "block_ll_" not in cpu.source
+    assert "def grad_" not in cpu.source
+    assert "ll_grad_" not in gpu.source
+    assert "block_ll_sigma2_b_theta" in gpu.source
+    assert "grad_sigma2_b_theta" in gpu.source
 
 
-@pytest.mark.parametrize("schedule", [HMC_SCHED, NUTS_SCHED])
+@pytest.mark.parametrize("schedule", list(WARMUP))
 def test_telemetry_unchanged_under_fusion(hlr_inputs, schedule):
-    s_fused = _compile(hlr_inputs, schedule)
-    s_plain = _compile(hlr_inputs, schedule, fuse_gradient=False)
-    r_fused = s_fused.sample(num_samples=12, seed=7, collect_stats=True)
-    r_plain = s_plain.sample(num_samples=12, seed=7, collect_stats=True)
-    st_fused = r_fused.stats.to_dict()
-    st_plain = r_plain.stats.to_dict()
-    assert st_fused.keys() == st_plain.keys()
-    for k in st_fused:
-        np.testing.assert_allclose(
-            st_fused[k], st_plain[k], rtol=1e-7, atol=1e-9, equal_nan=True,
-            err_msg=f"stat {k} changed under the fused path",
-        )
+    _assert_stats_equal(*_run_both(
+        models.HLR, *hlr_inputs, schedule, warmup=WARMUP[schedule],
+        collect_stats=True,
+    ))
 
 
-def test_mixed_schedule_with_discrete_block_still_runs(hlr_inputs):
-    # GMM: HMC on mu rides the fused path; the discrete z block stays on
-    # its own update.  Smoke-checks the decl-level fallback wiring.
+def test_mixed_schedule_with_discrete_block_still_runs():
+    # GMM: HMC on mu rides the fused path on the CPU; the discrete z
+    # block stays on its own update.
     rng = np.random.default_rng(0)
     K, N, D = 2, 12, 2
     hypers = {
@@ -84,12 +98,9 @@ def test_mixed_schedule_with_discrete_block_still_runs(hlr_inputs):
     }
     observed = {"x": rng.normal(size=(N, D))}
     sched = "HMC[steps=4, step_size=0.02] mu (*) Gibbs z"
-    s_fused = compile_model(models.GMM, hypers, observed, schedule=sched)
-    s_plain = compile_model(
-        models.GMM, hypers, observed, schedule=sched,
-        options=CompileOptions(fuse_gradient=False),
+    r_cpu, r_gpu = _run_both(
+        models.GMM, hypers, observed, sched, collect_stats=True
     )
-    r1 = s_fused.sample(num_samples=8, seed=3)
-    r2 = s_plain.sample(num_samples=8, seed=3)
-    np.testing.assert_array_equal(r1.array("mu"), r2.array("mu"))
-    np.testing.assert_array_equal(r1.array("z"), r2.array("z"))
+    np.testing.assert_array_equal(r_cpu.array("mu"), r_gpu.array("mu"))
+    np.testing.assert_array_equal(r_cpu.array("z"), r_gpu.array("z"))
+    _assert_stats_equal(r_cpu, r_gpu)

@@ -61,21 +61,18 @@ def test_ragged_block_samples_closed_form_posterior(schedule, warmup):
     ids=["hmc", "nuts"],
 )
 def test_ragged_gradient_paths_draw_identically(schedule, warmup):
-    # The fused value+gradient, the separate log-density and gradient
-    # pair, and the GPU target all run the ragged block on its flat
-    # buffer, summing in the same order.
+    # The CPU target's fused value+gradient and the GPU target's
+    # separate log-density and gradient kernels both run the ragged
+    # block on its flat buffer, summing in the same order.
     hypers, data = ragged_inputs(d=40)
-    draws = {}
-    for path, options in (
-        ("fused", CompileOptions()),
-        ("pair", CompileOptions(fuse_gradient=False)),
-        ("gpu", CompileOptions(target="gpu")),
-    ):
-        sampler = compile_model(
+    cpu, gpu = (
+        compile_model(
             RAGGED_ELEMENTS, hypers, data, schedule=schedule, options=options
-        )
-        draws[path] = _draws(
-            [sampler.sample(num_samples=30, seed=5, warmup=warmup)]
-        )
-    np.testing.assert_array_equal(draws["fused"], draws["pair"])
-    np.testing.assert_array_equal(draws["fused"], draws["gpu"])
+        ).sample(num_samples=30, seed=5, warmup=warmup, collect_stats=True)
+        for options in (CompileOptions(), CompileOptions(target="gpu"))
+    )
+    np.testing.assert_array_equal(_draws([cpu]), _draws([gpu]))
+    st_cpu, st_gpu = cpu.stats.to_dict(), gpu.stats.to_dict()
+    assert st_cpu.keys() == st_gpu.keys()
+    for k in st_cpu:
+        np.testing.assert_array_equal(st_cpu[k], st_gpu[k], err_msg=k)

@@ -50,7 +50,7 @@ def run_fused(model_name, targets, env):
 def check_fused_block(model_name, targets, env, rtol=1e-4):
     fd, blk, ll, grads = run_fused(model_name, targets, env)
 
-    # Bitwise agreement with the separate pair the compiler falls back to.
+    # Bitwise agreement with the separate pair the GPU target compiles.
     (ll_sep,) = run_decl(gen_block_ll(blk, fd.lets), env, Rng(0))
     grads_sep = run_decl(gen_grad(blk, fd.lets), env, Rng(0))
     assert float(ll) == float(ll_sep)

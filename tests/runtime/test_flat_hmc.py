@@ -190,7 +190,7 @@ def _make_flat():
     def grad():
         return _grad(holder["views"])
 
-    fld = FlatLogDensity(ll, grad, _TRANSFORMS, layout)
+    fld = FlatLogDensity(_TRANSFORMS, layout, ll_fn=ll, grad_fn=grad)
     holder["views"] = fld.x_views
     return fld, layout
 
@@ -235,27 +235,31 @@ def test_flat_value_and_grad_match_analytic():
 
 
 def test_value_and_grad_fused_matches_pair():
-    # With a fused callable supplied, value_and_grad must return exactly
-    # what the separate value/grad pair computes.
+    # The fused form must return exactly what the separate value/grad
+    # pair computes, whichever of value, grad or both is asked first,
+    # and with one fused call per point.
     fld_pair, layout = _make_flat()
     holder = {}
-
-    def ll():
-        return _ll(holder["views"])
-
-    def grad():
-        return _grad(holder["views"])
+    calls = {"n": 0}
 
     def ll_grad():
+        calls["n"] += 1
         return _ll(holder["views"]), _grad(holder["views"])
 
-    fld_fused = FlatLogDensity(ll, grad, _TRANSFORMS, layout, ll_grad_fn=ll_grad)
+    fld_fused = FlatLogDensity(_TRANSFORMS, layout, ll_grad_fn=ll_grad)
     holder["views"] = fld_fused.x_views
     z = fld_pair.unconstrain_into(_start_state(), np.empty(layout.total))
-    lp_f, g_f = fld_fused.value_and_grad(z.copy())
     lp_p, g_p = fld_pair.value_and_grad(z.copy())
+    lp_f, g_f = fld_fused.value_and_grad(z.copy())
     assert lp_f == lp_p
     np.testing.assert_array_equal(g_f, g_p)
+    assert calls["n"] == 1
+    z2 = z + 0.25
+    fld_fused.invalidate()
+    assert fld_fused.value(z) == lp_p
+    np.testing.assert_array_equal(fld_fused.grad(z2), fld_pair.grad(z2))
+    assert fld_fused.value(z2) == fld_pair.value(z2)
+    assert calls["n"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -274,10 +278,10 @@ def _gaussian_flat():
         return layout.pack(fld.x_views)
 
     fld = FlatLogDensity(
-        lambda: float(-0.5 * np.sum((x() - _MU) ** 2 / _S2)),
-        lambda: layout.unpack_views(-(x() - _MU) / _S2),
         {k: IdentityTransform() for k in "abc"},
         layout,
+        ll_fn=lambda: float(-0.5 * np.sum((x() - _MU) ** 2 / _S2)),
+        grad_fn=lambda: layout.unpack_views(-(x() - _MU) / _S2),
     )
     return fld
 
@@ -354,10 +358,10 @@ def test_flat_point_cache_reuses_transforms():
     layout = _toy_layout()
     holder = {}
     fld = FlatLogDensity(
-        lambda: _ll(holder["views"]),
-        lambda: _grad(holder["views"]),
         transforms,
         layout,
+        ll_fn=lambda: _ll(holder["views"]),
+        grad_fn=lambda: _grad(holder["views"]),
     )
     holder["views"] = fld.x_views
     z = fld.unconstrain_into(_start_state(), np.empty(layout.total))

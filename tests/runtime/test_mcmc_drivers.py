@@ -19,10 +19,10 @@ def flat_target(ll, grad, shape=(), transform=None):
     """A one-variable ``x`` density on the packed state; ``ll`` and
     ``grad`` take the constrained value."""
     target = FlatLogDensity(
-        lambda: ll(target.x_views["x"]),
-        lambda: {"x": grad(target.x_views["x"])},
         {"x": transform or IdentityTransform()},
         PackPlan.of([("x", shape, None)]),
+        ll_fn=lambda: ll(target.x_views["x"]),
+        grad_fn=lambda: {"x": grad(target.x_views["x"])},
     )
     return target
 

@@ -5,14 +5,25 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.compiler import compile_model
 from repro.eval import models
-from repro.serve.protocol import ProtocolError, parse_infer_request
-from repro.serve.session import InferenceService, summarize_chains
+from repro.serve.checkpoint import ChainCheckpoint, Checkpoint
+from repro.serve.protocol import (
+    ProtocolError,
+    json_response,
+    parse_infer_request,
+)
+from repro.serve.session import (
+    DEFAULT_RHAT,
+    InferenceService,
+    _verdict,
+    summarize_chains,
+)
 from repro.telemetry.progress import StreamProgress
 from tests.serve.conftest import HYPERS, make_y
 
@@ -27,6 +38,17 @@ def service(tmp_path):
 
 def _handle(service, payload, **kwargs):
     return service.handle(parse_infer_request(payload), **kwargs)
+
+
+def _strict_json(payload):
+    """``payload`` as the server encodes it, parsed back with the
+    non-JSON ``Infinity``/``NaN`` tokens rejected."""
+    body = json_response(200, payload).split(b"\r\n\r\n", 1)[1]
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(body, parse_constant=reject)
 
 
 def test_complete_run(service, nn_payload):
@@ -119,10 +141,48 @@ def test_stuck_chains_keep_the_monitor_json_valid(service, nn_payload):
     progress = []
     resp = _handle(service, payload, progress_cb=progress.append)
     assert resp["stop_reason"] != "converged"
-    assert resp["monitor"]["worst_rhat"] is None
-    json.dumps(resp["monitor"], allow_nan=False)
-    json.dumps([e["worst_rhat"] for e in progress], allow_nan=False)
-    assert progress[-1]["worst_rhat"] is None
+    assert resp["verdict"] == "not_converged"
+    assert resp["monitor"]["worst_rhat"] == math.inf
+    assert progress[-1]["worst_rhat"] == math.inf
+    # On the wire (the response, and progress as the status route
+    # serves it) the infinite R-hat is null.
+    assert _strict_json(resp)["monitor"]["worst_rhat"] is None
+    assert _strict_json(progress)[-1]["worst_rhat"] is None
+
+
+def test_stuck_components_fail_the_verdict(service, nn_payload):
+    # A 2-component mu stuck at 0 in one chain and at 1 in the other has
+    # an infinite split R-hat; a mixing scalar b beside it must not make
+    # the pair read converged.
+    b = np.random.default_rng(1).normal(size=(2, 40))
+    chains = [
+        {"mu": np.full((40, 2), float(c)), "b": b[c]} for c in (0, 1)
+    ]
+    summary = summarize_chains(chains)
+    assert summary["b"]["worst_rhat"] <= DEFAULT_RHAT
+    assert summary["mu"]["worst_rhat"] == math.inf
+    assert _verdict(summary, 2, DEFAULT_RHAT) == "not_converged"
+    # The answer from a checkpoint that already holds every draw judges
+    # the same way, and stays JSON.
+    req = parse_infer_request(dict(nn_payload, request_id="stuck"))
+    ckpt = Checkpoint(
+        request_id="stuck", spec_key="", seed=7, n_chains=2, num_samples=40,
+        burn_in=0, thin=1, collect=None,
+        chains=[
+            ChainCheckpoint(
+                state={}, rng_spec={}, n_kept=40, sweeps_run=40, draws=d
+            )
+            for d in chains
+        ],
+    )
+    resp = service._finish_complete_checkpoint(req, ckpt, "", False, 0.0, 0.0)
+    assert resp["verdict"] == "not_converged"
+    wire = _strict_json(resp)["summary"]
+    assert wire["mu"]["worst_rhat"] is None
+    assert [
+        (c["rhat"], c.get("stuck")) for c in wire["mu"]["components"].values()
+    ] == [(None, True), (None, True)]
+    assert "stuck" not in wire["b"]["components"]["b"]
 
 
 def test_checkpoint_mismatch_is_rejected(service, nn_payload):

@@ -97,17 +97,6 @@ def test_explain_renders_with_provenance_origins():
 # -- the fallback matrix: each gate names itself in the reason -------------
 
 
-def test_batch_elements_option_gate_is_explained():
-    hypers, data = nn_inputs()
-    sampler = compile_model(
-        NORMAL_ELEMENTS, hypers, data, schedule="MH mu",
-        options=CompileOptions(batch_elements=False),
-    )
-    (e,) = entries(sampler, "batch.elements")
-    assert e["choice"] == "scalar"
-    assert "batch_elements=False" in e["reason"]
-
-
 def test_batch_off_schedule_gate_is_explained():
     hypers, data = nn_inputs()
     sampler = compile_model(
@@ -133,23 +122,20 @@ def test_user_proposal_gate_is_explained():
     assert "user proposal" in e["reason"]
 
 
-def test_fuse_gradient_option_gate_is_explained():
+def test_gradient_form_is_explained_per_target():
     hypers, data = gmm_inputs()
-    sampler = compile_model(
-        models.GMM, hypers, data,
-        schedule="HMC[steps=3, step_size=0.05] mu (*) Gibbs z",
-        options=CompileOptions(fuse_gradient=False),
-    )
-    (e,) = entries(sampler, "gradient.fusion")
-    assert e["choice"] == "pair"
-    assert "fuse_gradient=False" in e["reason"]
-    # With the option on, the same block fuses.
-    fused = compile_model(
-        models.GMM, hypers, data,
-        schedule="HMC[steps=3, step_size=0.05] mu (*) Gibbs z",
-    )
+    sched = "HMC[steps=3, step_size=0.05] mu (*) Gibbs z"
+    fused = compile_model(models.GMM, hypers, data, schedule=sched)
     (e,) = entries(fused, "gradient.fusion")
     assert e["choice"] == "fused"
+    assert "ll_grad_mu" in e["reason"]
+    gpu = compile_model(
+        models.GMM, hypers, data, schedule=sched,
+        options=CompileOptions(target="gpu"),
+    )
+    (e,) = entries(gpu, "gradient.fusion")
+    assert e["choice"] == "pair"
+    assert "GPU" in e["reason"]
 
 
 # -- cache replay ----------------------------------------------------------

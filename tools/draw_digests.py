@@ -11,8 +11,9 @@ The first nine lines (HLR, GMM, EXP_NORMAL, GPU HLR) are the cases the
 digests have been compared on since the packed flat HMC/NUTS state.
 The rest cover loop nests: grouped means (a rectangular nest) under
 conjugate Gibbs and batched MH, and NUTS on a ragged block through the
-fused gradient, the separate log-density and gradient pair, and the GPU
-target.  A case that raises prints its error in place of a digest.
+CPU target's fused gradient and the GPU target's separate log-density
+and gradient kernels.  A case that raises prints its error in place of
+a digest.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ def ragged_nuts_cases():
     data = {"y": RaggedArray.from_rows([rng.normal(size=k) for k in lengths])}
     for path, options in (
         ("fused", CompileOptions()),
-        ("pair", CompileOptions(fuse_gradient=False)),
         ("gpu", CompileOptions(target="gpu")),
     ):
         label = f"ragged D=200 NUTS {path}"
