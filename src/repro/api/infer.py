@@ -151,53 +151,6 @@ class Infer:
             target_accept=targetAccept,
         )
 
-    def sampleChains(
-        self,
-        nChains: int,
-        numSamples: int,
-        burnIn: int = 0,
-        thin: int = 1,
-        seed: int = 0,
-        collect: tuple[str, ...] | None = None,
-        executor: str = "sequential",
-        nWorkers: int | None = None,
-        collect_stats: bool = False,
-        monitor=None,
-        profile: bool = False,
-        chunkSize: int | None = None,
-        earlyStopRhat: float | None = None,
-        resume=None,
-        warmup: int = 0,
-        targetAccept: float = 0.8,
-    ) -> list[SampleResult]:
-        """Run independent chains, optionally fanned out over the warm
-        worker pool (``executor="processes"``); draws are bitwise
-        identical to the sequential path for a given seed.
-        ``collect_stats`` and ``monitor`` behave as in
-        :func:`repro.core.chains.stream_chains`;
-        ``earlyStopRhat`` broadcasts a stop flag once the worst split
-        R-hat converges below the threshold; ``resume`` supplies one
-        :class:`repro.core.chains.ChainResume` (or ``None``) per chain
-        to continue checkpointed chains bit-for-bit."""
-        return self.sampler.sample_chains(
-            n_chains=nChains,
-            num_samples=numSamples,
-            burn_in=burnIn,
-            thin=thin,
-            seed=seed,
-            collect=collect,
-            executor=executor,
-            n_workers=nWorkers,
-            collect_stats=collect_stats,
-            monitor=monitor,
-            profile=profile,
-            chunk_size=chunkSize,
-            early_stop_rhat=earlyStopRhat,
-            resume=resume,
-            warmup=warmup,
-            target_accept=targetAccept,
-        )
-
     # -- introspection -----------------------------------------------------------
 
     @property

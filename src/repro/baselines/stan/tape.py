@@ -12,7 +12,6 @@ instrumenting the program").
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -189,11 +188,6 @@ def stack_last(nodes: list["T"]) -> "T":
             n.grad += _unbroadcast(g[..., i], n.shape)
 
     return T(value, tuple(nodes), bw)
-
-
-def lgamma_const(x) -> np.ndarray:
-    """Log-gamma of a constant (no gradient flows through it here)."""
-    return gammaln(np.asarray(x, dtype=np.float64))
 
 
 def backward(root: T, leaves: list[T]) -> list[np.ndarray]:

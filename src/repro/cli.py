@@ -21,8 +21,8 @@ stage and runtime phase (open via ``chrome://tracing`` or Perfetto);
 ``--profile`` attributes sweep wall-time to every update, generated
 declaration, and model statement; ``--explain`` prints the compiler
 decision ledger (``--explain-json FILE`` writes it machine-readable);
-``--report FILE`` -- or the ``repro report`` subcommand -- writes a
-self-contained HTML inference report with a ``.json`` twin.
+``--report FILE`` writes a self-contained HTML inference report with a
+``.json`` twin.
 
 Inputs are a single ``.json`` or ``.npz`` file providing a value for
 every hyper-parameter and observed variable; the model's declarations
@@ -435,32 +435,6 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    """Compile, run with profiling + stats on, and write the HTML
-    inference report (plus its JSON twin)."""
-    from repro.telemetry.report import write_report
-
-    _, sampler = _build(args)
-    warmup = _resolve_warmup(args, sampler)
-    result = sampler.sample(
-        num_samples=args.samples,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        seed=args.seed,
-        collect_stats=True,
-        profile=True,
-        warmup=warmup,
-        target_accept=args.target_accept,
-    )
-    data = write_report(args.out, sampler, [result])
-    print(
-        f"wrote inference report to {args.out} "
-        f"({len(data['ledger'])} ledger entries, "
-        f"{len(data['profiles'])} profile table(s))"
-    )
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the long-lived inference service (see docs/serving.md)."""
     from repro.serve.server import ReproServer
@@ -770,29 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the compiler decision ledger",
     )
     pi.set_defaults(fn=cmd_inspect)
-
-    pr = sub.add_parser(
-        "report",
-        help="run with profiling on and write the HTML inference report",
-    )
-    common(pr)
-    pr.add_argument("--samples", type=int, default=500)
-    pr.add_argument("--burn-in", type=int, default=0)
-    pr.add_argument("--thin", type=int, default=1)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument(
-        "--warmup", type=int, default=None, metavar="N",
-        help="adaptation sweeps (defaults on for HMC/NUTS schedules "
-        "without a pinned step size)",
-    )
-    pr.add_argument(
-        "--target-accept", type=float, default=0.8, metavar="A",
-        help="dual-averaging acceptance target (default 0.8)",
-    )
-    pr.add_argument(
-        "--out", default="report.html", help="report path (default report.html)"
-    )
-    pr.set_defaults(fn=cmd_report)
 
     pv = sub.add_parser(
         "serve",

@@ -58,10 +58,6 @@ class UpdateStats:
     nan_rejected: int = 0
 
     @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.proposed if self.proposed else float("nan")
-
-    @property
     def nan_reject_rate(self) -> float:
         return self.nan_rejected / self.proposed if self.proposed else 0.0
 

@@ -53,9 +53,6 @@ class ChargePolicy:
         nothing.  The base policy returns False (no charging)."""
         return False
 
-    def seq_stmts(self, sb: SourceBuilder, stmts) -> None:
-        pass
-
 
 def atomic_locations_code(stmts) -> str | None:
     """Contention-location estimate for an AtmPar block: the smallest

@@ -39,10 +39,6 @@ class VarInfo:
     def is_data(self) -> bool:
         return self.kind is DeclKind.DATA
 
-    @property
-    def n_gens(self) -> int:
-        return len(self.gens)
-
 
 @dataclass(frozen=True)
 class ModelInfo:

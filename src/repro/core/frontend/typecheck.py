@@ -101,9 +101,6 @@ class TypeEnv:
         except KeyError:
             raise TypeCheckError(f"unbound variable {name!r}") from None
 
-    def as_dict(self) -> dict[str, Ty]:
-        return dict(self._bindings)
-
 
 def type_expr(e: Expr, env: TypeEnv) -> Ty:
     """Infer the type of an expression under ``env``."""

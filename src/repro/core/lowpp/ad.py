@@ -45,6 +45,7 @@ from repro.core.lowpp.ir import (
     SIf,
     SLoop,
     Stmt,
+    assigned_names,
 )
 from repro.core.workspace import WorkspaceSpec
 from repro.errors import CodegenError
@@ -304,19 +305,6 @@ def _hoistable(e: Expr) -> bool:
     return isinstance(e, DistOp) and e.op is not DistOpKind.SAMP
 
 
-def _assigned_names(stmts) -> set[str]:
-    out: set[str] = set()
-    for s in stmts:
-        if isinstance(s, SAssign):
-            out.add(s.lhs.name)
-        elif isinstance(s, SIf):
-            out |= _assigned_names(s.then)
-            out |= _assigned_names(s.els)
-        elif isinstance(s, SLoop):
-            out |= _assigned_names(s.body)
-    return out
-
-
 def _count_subexprs(stmts, counts: dict, element_reads: dict) -> None:
     """Count each hoistable subexpression, and separately how often it
     occurs only as the row an element is read from (``t[d]`` in
@@ -356,7 +344,9 @@ class _Cse:
     flat read, where a temp holding the row would be gathered per lane.
     """
 
-    def __init__(self, counts: dict, element_reads: dict, protect: set[str]):
+    def __init__(
+        self, counts: dict, element_reads: dict, protect: frozenset[str]
+    ):
         self.counts = counts
         self.element_reads = element_reads
         self.protect = protect
@@ -418,7 +408,7 @@ def _cse_stmts(stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
     _count_subexprs(stmts, counts, element_reads)
     if not any(c >= 2 for c in counts.values()):
         return stmts
-    cse = _Cse(counts, element_reads, _assigned_names(stmts))
+    cse = _Cse(counts, element_reads, assigned_names(stmts))
     return cse.rewrite_stmts(stmts, {})
 
 

@@ -171,9 +171,3 @@ def assigned_names(stmts: tuple[Stmt, ...]) -> frozenset[str]:
         elif isinstance(s, SMultiAssign):
             out.update(lv.name for lv in s.lhs)
     return frozenset(out)
-
-
-def loop_vars(stmts: tuple[Stmt, ...]) -> frozenset[str]:
-    return frozenset(
-        s.gen.var for s in walk_stmts(stmts) if isinstance(s, SLoop)
-    )

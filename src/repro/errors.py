@@ -41,10 +41,6 @@ class ScheduleError(ReproError):
     """
 
 
-class ConjugacyError(ReproError):
-    """A Gibbs update was requested but no conjugacy relation applies."""
-
-
 class LoweringError(ReproError):
     """An IL-to-IL lowering step encountered a term it cannot translate."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,21 +27,6 @@ class Series:
 
     def final(self) -> tuple[float, float]:
         return self.times[-1], self.values[-1]
-
-    def time_to_reach(self, threshold: float) -> float | None:
-        """First cumulative time at which the metric reaches ``threshold``."""
-        for t, v in zip(self.times, self.values):
-            if v >= threshold:
-                return t
-        return None
-
-
-class StopWatch:
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
 
 
 def hgmm_hypers(k: int, d: int) -> dict:

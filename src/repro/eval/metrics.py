@@ -89,7 +89,11 @@ def potential_scale_reduction(chains: np.ndarray) -> float:
         raise ValueError("R-hat needs at least 2 chains of length 2")
     means = chains.mean(axis=1)
     b = n * means.var(ddof=1)
-    w = chains.var(axis=1, ddof=1).mean()
+    within = chains.var(axis=1, ddof=1)
+    # A chain whose draws are all equal has no spread; its rounded mean
+    # can leave ``var`` a residue (1e-32 for rank scores), not 0.
+    within[np.ptp(chains, axis=1) == 0] = 0.0
+    w = within.mean()
     if w <= 0.0:
         return 1.0 if b <= 0.0 else float("inf")
     var_plus = (n - 1) / n * w + b / n

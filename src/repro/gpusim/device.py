@@ -23,7 +23,6 @@ class DeviceStats:
     atomic_time: float = 0.0
     reduce_time: float = 0.0
     seq_time: float = 0.0
-    transfer_time: float = 0.0
 
     def total(self) -> float:
         return (
@@ -31,7 +30,6 @@ class DeviceStats:
             + self.atomic_time
             + self.reduce_time
             + self.seq_time
-            + self.transfer_time
         )
 
 
@@ -63,9 +61,6 @@ class Device:
         """Sequential device code (``seqBlk`` or a fallback loop)."""
         self.stats.seq_blocks += 1
         self.stats.seq_time += self.cost.seq_time(int(ops))
-
-    def transfer(self, nbytes: int) -> None:
-        self.stats.transfer_time += self.cost.transfer_time(int(nbytes))
 
     # -- inspection --------------------------------------------------------
 

@@ -12,20 +12,20 @@ answer with a draws summary, a convergence verdict, and the per-request
 HTML/JSON inference report as the observability artifact.
 
 Interrupted or budget-exhausted requests checkpoint their chain state
-(:class:`~repro.serve.checkpoint.Checkpoint`: packed parameter state,
-RNG state-spec, kept-draw counts — all picklable) keyed by request id;
-a follow-up call with the same id resumes bit-for-bit, so the finished
-draws are identical to a single uninterrupted run with the same seed.
+(:class:`~repro.serve.checkpoint.Checkpoint`: one
+:class:`~repro.core.chains.ChainResume` per chain, all picklable) keyed
+by request id; a follow-up call with the same id resumes bit-for-bit,
+so the finished draws are identical to a single uninterrupted run with
+the same seed.
 """
 
-from repro.serve.checkpoint import Checkpoint, CheckpointStore, ChainCheckpoint
+from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.serve.protocol import Budget, InferRequest, ProtocolError
 from repro.serve.session import InferenceService
 from repro.serve.server import ReproServer
 
 __all__ = [
     "Budget",
-    "ChainCheckpoint",
     "Checkpoint",
     "CheckpointStore",
     "InferRequest",

@@ -1,17 +1,21 @@
 """Checkpoint/resume for service requests.
 
-A :class:`Checkpoint` freezes a multi-chain run mid-flight: per chain
-the packed parameter state after the last executed sweep, the RNG
-state-spec, the kept-draw/sweep counters, and the draws taken so far —
-every piece already picklable (the same properties the worker-process
-executor relies on).  :class:`CheckpointStore` persists one checkpoint
-per request id, so a deadline-exhausted or interrupted request can be
-continued by a follow-up call with the same id and finish bit-for-bit
-identical to a single uninterrupted run.
+A :class:`Checkpoint` freezes a multi-chain run mid-flight as one
+:class:`~repro.core.chains.ChainResume` per chain -- the packed
+parameter state after the last executed sweep, the RNG state-spec, the
+kept-draw/sweep counters, the warmup adaptation state and the draws
+taken so far, every piece already picklable (the same properties the
+worker-process executor relies on) -- and ``stream_chains(...,
+resume=checkpoint.chains)`` continues it.  :class:`CheckpointStore`
+persists one checkpoint per request id, so a deadline-exhausted or
+interrupted request can be continued by a follow-up call with the same
+id and finish bit-for-bit identical to a single uninterrupted run.
 
 The ``spec_key`` (compile-cache fingerprint) rides along and is checked
 on resume: a checkpoint only resumes onto the exact model shape it was
-taken from.
+taken from.  A stored file that does not load as a :class:`Checkpoint`
+(an older format, a truncated write, not a pickle) is a
+:class:`~repro.serve.protocol.ProtocolError`.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ import os
 import pickle
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.chains import ChainResume
 from repro.errors import ReproError
+from repro.serve.protocol import ProtocolError
 
 
 def _copy_draws(samples: dict, n_kept: int) -> dict:
@@ -39,21 +45,6 @@ def _copy_draws(samples: dict, n_kept: int) -> dict:
         else:
             out[name] = list(vals[:n_kept])
     return out
-
-
-@dataclass
-class ChainCheckpoint:
-    """One chain's resume point plus the draws it already took."""
-
-    state: dict
-    rng_spec: dict
-    n_kept: int
-    sweeps_run: int
-    draws: dict = field(repr=False)
-    #: Warmup adaptation state (``SampleResult.adapt_state``), present
-    #: when the chain was frozen during or after an adaptive run; a
-    #: chain stopped mid-warmup resumes adapting bitwise-identically.
-    adapt_state: dict | None = None
 
 
 @dataclass
@@ -74,7 +65,7 @@ class Checkpoint:
     burn_in: int
     thin: int
     collect: tuple | None
-    chains: list[ChainCheckpoint]
+    chains: list[ChainResume]
     created_at: float = 0.0
     warmup: int = 0
     target_accept: float = 0.8
@@ -104,11 +95,11 @@ class Checkpoint:
                     "cannot checkpoint a result without final_state/rng_state"
                 )
             chains.append(
-                ChainCheckpoint(
-                    state=r.final_state,
+                ChainResume(
+                    init=r.final_state,
                     rng_spec=r.rng_state,
-                    n_kept=r.n_kept,
-                    sweeps_run=r.sweeps_run,
+                    start_sweep=r.sweeps_run,
+                    start_kept=r.n_kept,
                     draws=_copy_draws(r.samples, r.n_kept),
                     adapt_state=r.adapt_state,
                 )
@@ -128,38 +119,9 @@ class Checkpoint:
             target_accept=target_accept,
         )
 
-    # -- reading -----------------------------------------------------------
-
     @property
     def min_kept(self) -> int:
-        return min((c.n_kept for c in self.chains), default=0)
-
-    @property
-    def complete(self) -> bool:
-        """True when every chain already holds all requested draws."""
-        return all(c.n_kept >= self.num_samples for c in self.chains)
-
-    def resume_points(self):
-        """One :class:`repro.core.chains.ChainResume` per chain, ready
-        to pass to ``stream_chains(..., resume=...)``."""
-        from repro.core.chains import ChainResume
-
-        return [
-            ChainResume(
-                init=c.state,
-                rng_spec=c.rng_spec,
-                start_sweep=c.sweeps_run,
-                start_kept=c.n_kept,
-                draws=c.draws,
-                adapt_state=getattr(c, "adapt_state", None),
-            )
-            for c in self.chains
-        ]
-
-    def chain_samples(self) -> list[dict]:
-        """Per-chain draws-so-far dicts (for summaries of a checkpoint
-        that is already complete)."""
-        return [c.draws for c in self.chains]
+        return min((c.start_kept for c in self.chains), default=0)
 
 
 def _safe_name(request_id: str) -> str:
@@ -200,12 +162,24 @@ class CheckpointStore:
         return path
 
     def load(self, request_id: str) -> Checkpoint | None:
-        path = self.path(request_id)
+        """The stored checkpoint, or ``None`` when there is none."""
         try:
-            with open(path, "rb") as f:
-                return pickle.load(f)
+            with open(self.path(request_id), "rb") as f:
+                ckpt = pickle.load(f)
+            if isinstance(ckpt, Checkpoint):
+                return ckpt
+            problem = f"it holds a {type(ckpt).__name__}"
         except FileNotFoundError:
             return None
+        except Exception as exc:
+            # Unpickling a damaged or foreign file can raise almost
+            # anything (EOFError, UnpicklingError, AttributeError, ...).
+            problem = f"{type(exc).__name__}: {exc}"
+        raise ProtocolError(
+            f"checkpoint for request {request_id!r} cannot be read "
+            f"({problem}); retry with 'resume': false or a new request_id "
+            f"to start over"
+        )
 
     def delete(self, request_id: str) -> None:
         try:

@@ -24,8 +24,7 @@ Request schema (``POST /v1/infer``)::
       },
       "resume": true,          // continue this id's checkpoint if any
       "return_draws": false,   // embed raw draws in the response
-      "report": true,          // write the HTML/JSON report artifact
-      "profile": false, "trace": false
+      "report": true           // write the HTML/JSON report artifact
     }
 
 All of ``query``/``budget`` and their members are optional; defaults
@@ -35,12 +34,11 @@ match the CLI.  ``data`` values follow the CLI input coercion rules
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 from repro.core.chains import EXECUTORS
 from repro.errors import ReproError
+from repro.telemetry.jsonenc import dumps
 
 #: Largest accepted request body (model text + data), in bytes.
 MAX_BODY_BYTES = 64 << 20
@@ -89,8 +87,6 @@ class InferRequest:
     resume: bool = True
     return_draws: bool = False
     report: bool = True
-    profile: bool = False
-    trace: bool = False
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -204,8 +200,6 @@ def parse_infer_request(payload) -> InferRequest:
         resume=flag("resume", True),
         return_draws=flag("return_draws", False),
         report=flag("report", True),
-        profile=flag("profile", False),
-        trace=flag("trace", False),
     )
 
 
@@ -295,35 +289,11 @@ def http_response(
 
 
 def json_response(status: int, payload) -> bytes:
-    """``payload`` as a JSON response.  JSON has no number for a nan or
-    infinite float (an unknown R-hat or ESS, the R-hat of chains stuck
-    at different values): in the payload's dicts and lists such a value
-    is sent as ``null``."""
-    return http_response(
-        status, json.dumps(_finite(payload), default=_json_default).encode()
-    )
-
-
-def _finite(obj):
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
+    """``payload`` as a JSON response, through the telemetry encoder: a
+    nan or infinite float (an unknown R-hat or ESS, the R-hat of chains
+    stuck at different values) is sent as ``null``."""
+    return http_response(status, dumps(payload).encode())
 
 
 def error_response(status: int, message: str) -> bytes:
     return json_response(status, {"status": "error", "error": message})
-
-
-def _json_default(obj):
-    """Serializer fallback: numpy scalars/arrays become plain JSON."""
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")

@@ -4,10 +4,12 @@ One long-lived process owns the compile cache and the warm worker
 pools; every request that fingerprints to a seen model shape skips
 compilation and lands on already-forked workers.  Blocking work (the
 whole :meth:`~repro.serve.session.InferenceService.handle` pipeline)
-runs on a thread pool via ``loop.run_in_executor``; sampling progress
-is marshalled back into the event loop with
-``loop.call_soon_threadsafe`` so ``GET /v1/requests/<id>`` always
-answers from live, loop-owned state without locking against samplers.
+runs on a thread pool via ``loop.run_in_executor``.  The server opens
+each request's one record (its
+:class:`~repro.telemetry.flight.FlightRecorder`) when it accepts the
+request; the sampling thread feeds and closes it, and
+``GET /v1/requests/<id>``, its ``/flightrecorder`` and ``/v1/metrics``
+read it from the event loop under the record's lock.
 
 Routes::
 
@@ -79,7 +81,6 @@ class ReproServer:
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
         self._in_flight = 0
-        self._status: dict[str, dict] = {}
         self._anon_ids = itertools.count(1)
 
     # -- lifecycle ---------------------------------------------------------
@@ -175,20 +176,7 @@ class ReproServer:
                     "use 'json' or 'prometheus'"
                 )
             snap = self.service.metrics.snapshot()
-            # Live per-request view: which phase each in-flight request
-            # is in (warmup vs sampling) and the current adapted step
-            # size when warmup adaptation is running.
-            snap["active_requests"] = {
-                rid: {
-                    "phase": s.get("phase", "sampling"),
-                    "step_size": s.get("step_size"),
-                    "warmup_sweep": s.get("warmup_sweep"),
-                    "warmup_total": s.get("warmup_total"),
-                    "kept": s.get("kept"),
-                }
-                for rid, s in self._status.items()
-                if s.get("state") in ("sampling", "warmup")
-            }
+            snap["active_requests"] = self.service.active_requests()
             return json_response(200, snap)
         if method == "GET" and path.startswith("/v1/requests/"):
             rest = path[len("/v1/requests/"):]
@@ -201,7 +189,7 @@ class ReproServer:
                     )
                 return json_response(200, record)
             rid = rest
-            status = self._status.get(rid)
+            status = self.service.request_status(rid)
             if status is None:
                 return error_response(404, f"unknown request {rid!r}")
             return json_response(200, status)
@@ -227,31 +215,19 @@ class ReproServer:
             return error_response(400, str(exc))
 
         rid = req.request_id or f"anon-{next(self._anon_ids)}"
-        loop = asyncio.get_running_loop()
-        self._status[rid] = {
-            "request_id": rid,
-            "state": "queued",
-            "enqueued": time.time(),
-        }
+        flight = self.service.open_record(rid)
         self._in_flight += 1
         log_event(
             "request.accepted", rid=rid, chains=req.chains,
             samples=req.samples, executor=req.executor,
             resume=req.resume and req.request_id is not None,
         )
-
-        def progress(event: dict) -> None:
-            # Called from the sampling thread: hop into the event loop
-            # so status reads never race a chunk handoff.
-            loop.call_soon_threadsafe(self._note_progress, rid, event)
-
         try:
-            response = await loop.run_in_executor(
+            response = await asyncio.get_running_loop().run_in_executor(
                 self._executor,
                 functools.partial(
                     self.service.handle, req,
-                    enqueued_at=enqueued_at, progress_cb=progress,
-                    rid=rid,
+                    enqueued_at=enqueued_at, flight=flight,
                 ),
             )
         except (ProtocolError, ReproError) as exc:
@@ -262,14 +238,6 @@ class ReproServer:
             return error_response(500, f"internal error: {exc}")
         finally:
             self._in_flight -= 1
-        self._status[rid] = {
-            "request_id": rid,
-            "state": "done",
-            "verdict": response.get("verdict"),
-            "complete": response.get("complete"),
-            "stop_reason": response.get("stop_reason"),
-            "draws": response.get("draws"),
-        }
         return json_response(200, response)
 
     def _note_error(self, rid: str, exc: BaseException) -> None:
@@ -279,33 +247,6 @@ class ReproServer:
             error=type(exc).__name__, message=str(exc),
             traceback=traceback.format_exc(),
         )
-        self._status[rid] = {
-            "request_id": rid, "state": "error", "error": str(exc),
-        }
-
-    def _note_progress(self, rid: str, event: dict) -> None:
-        status = self._status.get(rid)
-        if status is None or status.get("state") in ("done", "error"):
-            return
-        phase = event.get("phase") or "sampling"
-        status.update(
-            state=phase if phase == "warmup" else "sampling",
-            phase=phase,
-            kept=event.get("kept"),
-            requested=event.get("requested"),
-            worst_rhat=event.get("worst_rhat"),
-            last_chunk={
-                "chain": event.get("chain"),
-                "start": event.get("start"),
-                "stop": event.get("stop"),
-                "info": event.get("info"),
-            },
-        )
-        if event.get("step_size") is not None:
-            status["step_size"] = event["step_size"]
-        if event.get("warmup_sweep") is not None:
-            status["warmup_sweep"] = event["warmup_sweep"]
-            status["warmup_total"] = event.get("warmup_total")
 
     # -- /v1/report --------------------------------------------------------
 

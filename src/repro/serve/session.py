@@ -9,14 +9,19 @@ convergence verdict, and — when the run stopped short — a checkpoint so
 a follow-up call with the same ``request_id`` continues bit-for-bit.
 
 ``handle`` is deliberately synchronous and thread-safe per call: the
-asyncio server runs it on a thread pool (``loop.run_in_executor``) and
-receives progress via ``progress_cb``, which it marshals back into the
-event loop.
+asyncio server runs it on a thread pool (``loop.run_in_executor``).
+Each request has one record, its
+:class:`~repro.telemetry.flight.FlightRecorder`: the server opens it
+when it accepts the request (:meth:`InferenceService.open_record`),
+``handle`` feeds it once per chunk and closes it with the outcome, and
+the status and flight-recorder routes read it from the event loop under
+the record's lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 
 import numpy as np
@@ -35,7 +40,7 @@ from repro.serve.checkpoint import (
     _safe_name,
 )
 from repro.serve.protocol import InferRequest, ProtocolError, coerce_values
-from repro.telemetry.flight import DEFAULT_CAPACITY, FlightRecorder
+from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.monitors import DEFAULT_DIVERGENCE_WARN
 from repro.telemetry.obslog import log_event, request_context
 from repro.telemetry.requests import ServiceMetrics
@@ -46,6 +51,8 @@ DEFAULT_RHAT = 1.05
 MAX_COMPONENTS = 4
 #: Minimum common draws before R-hat is considered meaningful.
 MIN_RHAT_DRAWS = 8
+#: The status keys ``/v1/metrics`` lists per request in warmup or sampling.
+_ACTIVE_KEYS = ("phase", "step_size", "warmup_sweep", "warmup_total", "kept")
 
 
 def _components(value) -> list[tuple[str, np.ndarray]]:
@@ -152,7 +159,6 @@ class InferenceService:
         artifact_dir: str | None = None,
         metrics: ServiceMetrics | None = None,
         divergence_warn: float = DEFAULT_DIVERGENCE_WARN,
-        flight_capacity: int = DEFAULT_CAPACITY,
     ):
         self.checkpoints = (
             CheckpointStore(checkpoint_dir) if checkpoint_dir else None
@@ -164,47 +170,46 @@ class InferenceService:
             os.makedirs(artifact_dir, exist_ok=True)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.divergence_warn = divergence_warn
-        self.flight_capacity = flight_capacity
-        #: Live flight recorders by rid, bounded, for the GET route.
+        #: Request records by rid, for the status routes: every one in
+        #: flight plus the ``_flights_cap`` most recently finished, in
+        #: the order they finished.
         self._flights: dict[str, FlightRecorder] = {}
         self._flights_cap = 64
+        self._flights_lock = threading.Lock()
 
     # -- request pipeline --------------------------------------------------
 
     def handle(
         self, req: InferRequest, enqueued_at: float | None = None,
-        progress_cb=None, rid: str | None = None,
+        flight: FlightRecorder | None = None,
     ) -> dict:
         """Run one request to its budget boundary and build the JSON
         response.  Raises :class:`ProtocolError` for request-shaped
-        failures (bad data, checkpoint mismatch); compiler/runtime
-        errors propagate for the server to map to a 400.
+        failures (bad data, a mismatched or unreadable checkpoint);
+        compiler/runtime errors propagate for the server to map to a
+        400.
 
-        ``rid`` is the correlation id every event logged on behalf of
-        this request carries (defaults to ``req.request_id``); the
-        whole pipeline runs inside its :func:`request_context`, and a
-        :class:`FlightRecorder` rides along, dumped to a post-mortem
-        artifact if the request errors, diverges past the threshold,
-        or is killed by its deadline.
+        ``flight`` is the request's record from :meth:`open_record`
+        (opened here for ``req.request_id`` when ``None``); its
+        ``request_id`` is the correlation id of every event logged on
+        behalf of this request.  The record is closed ``done`` or
+        ``error``, and dumped to a post-mortem artifact if the request
+        errors, diverges past the threshold, or is killed by its
+        deadline.
         """
-        if rid is None:
-            rid = req.request_id
-        flight = FlightRecorder(
-            rid or "anonymous",
-            capacity=self.flight_capacity,
-            divergence_warn=self.divergence_warn,
-        )
-        self._remember_flight(rid, flight)
+        if flight is None:
+            flight = self.open_record(req.request_id)
+        rid = flight.request_id
         with request_context(rid):
             try:
-                return self._handle(req, enqueued_at, progress_cb, rid, flight)
+                return self._handle(req, enqueued_at, flight)
             except Exception as exc:
-                self._dump_flight(flight, "error", rid=rid, error=exc)
+                self._dump_flight(flight, "error", error=exc)
+                self._close_record(flight, "error", error=str(exc))
                 raise
 
-    def _handle(
-        self, req: InferRequest, enqueued_at, progress_cb, rid, flight,
-    ) -> dict:
+    def _handle(self, req: InferRequest, enqueued_at, flight) -> dict:
+        rid = flight.request_id
         t0 = time.monotonic()
         queue_wait = max(0.0, t0 - enqueued_at) if enqueued_at else 0.0
 
@@ -246,12 +251,7 @@ class InferenceService:
         )
 
         checkpoint = self._load_checkpoint(req, spec_key)
-        if checkpoint is not None and checkpoint.complete:
-            return self._finish_complete_checkpoint(
-                req, checkpoint, spec_key, cache_hit, compile_s, queue_wait,
-                tune_cache_hit,
-            )
-        resume = checkpoint.resume_points() if checkpoint is not None else None
+        resume = checkpoint.chains if checkpoint is not None else None
         base_kept = checkpoint.min_kept if checkpoint is not None else 0
 
         # Sample in chunks until done or the budget says stop.
@@ -275,10 +275,10 @@ class InferenceService:
             warmup=req.warmup,
             target_accept=req.target_accept,
         )
-        kept = [
-            r.start_kept if r is not None else 0
-            for r in (resume or [None] * req.chains)
-        ]
+        kept = (
+            [r.start_kept for r in resume] if resume is not None
+            else [0] * req.chains
+        )
         stop_reason = None
         t_sample = time.monotonic()
         for chunk in stream:
@@ -287,14 +287,12 @@ class InferenceService:
                 stream.monitor.worst_rhat()
                 if stream.monitor is not None else None
             )
-            if flight.record_chunk(chunk, worst_rhat=worst):
+            if flight.record_chunk(chunk, worst, kept, req.samples):
                 log_event(
                     "divergence.threshold", level="warning", rid=rid,
                     rate=round(flight.divergence.rate, 4),
                     threshold=flight.divergence.warn_rate,
                 )
-            if progress_cb is not None:
-                progress_cb(self._progress_event(req, stream, chunk, kept))
             if stop_reason is not None:
                 continue
             if deadline is not None and time.monotonic() >= deadline:
@@ -396,9 +394,9 @@ class InferenceService:
             response["report"] = self._write_report(req, sampler, results)
 
         if stop_reason == "deadline":
-            self._dump_flight(flight, "deadline", rid=rid)
+            self._dump_flight(flight, "deadline")
         elif flight.divergence.exceeded:
-            self._dump_flight(flight, "divergence", rid=rid)
+            self._dump_flight(flight, "divergence")
 
         sweeps = sum(r.sweeps_run for r in results if r is not None)
         total_s = time.monotonic() - t0
@@ -426,16 +424,55 @@ class InferenceService:
             draws=sum(r.n_kept for r in results if r is not None),
             total_s=round(total_s, 6),
         )
+        self._close_record(
+            flight, "done", verdict=verdict, complete=complete,
+            stop_reason=stop_reason, draws=response["draws"],
+        )
         return response
 
-    # -- flight recorder ---------------------------------------------------
+    # -- request records ---------------------------------------------------
 
-    def _remember_flight(self, rid: str | None, flight) -> None:
-        if rid is None:
-            return
-        while len(self._flights) >= self._flights_cap:
-            self._flights.pop(next(iter(self._flights)))
-        self._flights[rid] = flight
+    def open_record(self, rid: str | None) -> FlightRecorder:
+        """Open one request's record in state ``queued``; a named one is
+        kept for the status and flight-recorder routes."""
+        flight = FlightRecorder(rid, divergence_warn=self.divergence_warn)
+        if rid is not None:
+            with self._flights_lock:
+                self._flights[rid] = flight
+        return flight
+
+    def _close_record(self, flight, state: str, **outcome) -> None:
+        """Close ``flight`` and keep only the ``_flights_cap`` most
+        recently finished records; no record in flight is evicted."""
+        flight.close(state, **outcome)
+        with self._flights_lock:
+            rid = flight.request_id
+            if self._flights.get(rid) is flight:
+                # Re-insert, so finished records sit in finishing order.
+                del self._flights[rid]
+                self._flights[rid] = flight
+            finished = [r for r, f in self._flights.items() if f.finished]
+            for r in finished[:-self._flights_cap]:
+                del self._flights[r]
+
+    def _record(self, rid: str) -> FlightRecorder | None:
+        with self._flights_lock:
+            return self._flights.get(rid)
+
+    def request_status(self, rid: str) -> dict | None:
+        """The status of one request id (``None`` when unknown)."""
+        flight = self._record(rid)
+        return flight.status() if flight is not None else None
+
+    def active_requests(self) -> dict:
+        """Progress of each request in warmup or sampling, by rid."""
+        with self._flights_lock:
+            flights = list(self._flights.values())
+        statuses = [f.status() for f in flights]
+        return {
+            s["request_id"]: {k: s.get(k) for k in _ACTIVE_KEYS}
+            for s in statuses if s["state"] in ("warmup", "sampling")
+        }
 
     def _flight_path(self, rid: str | None) -> str | None:
         if not self.artifact_dir or not rid:
@@ -444,9 +481,10 @@ class InferenceService:
 
         return os.path.join(self.artifact_dir, _safe_name(rid) + ".flight.json")
 
-    def _dump_flight(self, flight, reason: str, rid=None, error=None) -> None:
+    def _dump_flight(self, flight, reason: str, error=None) -> None:
         """Write the post-mortem artifact (best effort: a dump failure
         must never mask the request's own outcome)."""
+        rid = flight.request_id
         path = self._flight_path(rid)
         if path is None:
             return
@@ -477,7 +515,7 @@ class InferenceService:
             if os.path.exists(path):
                 with open(path) as f:
                     return json.load(f)
-        flight = self._flights.get(rid)
+        flight = self._record(rid)
         return flight.snapshot() if flight is not None else None
 
     # -- pieces ------------------------------------------------------------
@@ -506,7 +544,7 @@ class InferenceService:
             ("warmup", req.warmup),
             ("target_accept", req.target_accept),
         ):
-            if getattr(ckpt, attr, want) != want:
+            if getattr(ckpt, attr) != want:
                 mismatches.append(attr)
         if (ckpt.collect or None) != (req.collect or None):
             mismatches.append("collect")
@@ -517,85 +555,6 @@ class InferenceService:
                 f"'resume': false or a new request_id to start over"
             )
         return ckpt
-
-    def _finish_complete_checkpoint(
-        self, req, checkpoint, spec_key, cache_hit, compile_s, queue_wait,
-        tune_cache_hit=None,
-    ) -> dict:
-        """The checkpoint already holds every requested draw: answer
-        from it without sampling."""
-        summary = summarize_chains(checkpoint.chain_samples())
-        threshold = (
-            req.budget.target_rhat
-            if req.budget.target_rhat is not None
-            else DEFAULT_RHAT
-        )
-        response = {
-            "status": "ok",
-            "request_id": req.request_id,
-            "verdict": _verdict(summary, checkpoint.n_chains, threshold),
-            "complete": True,
-            "stopped_early": False,
-            "stop_reason": None,
-            "resumed": True,
-            "checkpointed": False,
-            "chains": checkpoint.n_chains,
-            "draws": {
-                "requested": req.samples,
-                "kept": [c.n_kept for c in checkpoint.chains],
-                "new": 0,
-            },
-            "timing": {
-                "queue_wait_s": queue_wait,
-                "compile_s": compile_s,
-                "sampling_s": 0.0,
-                "total_s": compile_s,
-            },
-            "cache": {
-                "compile_cache_hit": cache_hit,
-                "spec_key": spec_key[:16] if spec_key else None,
-            },
-            "summary": summary,
-        }
-        if req.return_draws:
-            response["draws_data"] = checkpoint.chain_samples()
-        self.metrics.record(
-            request_id=req.request_id,
-            queue_wait_s=queue_wait,
-            compile_s=compile_s,
-            sampling_s=0.0,
-            cache_hit=cache_hit,
-            sweeps=0,
-            draws=sum(c.n_kept for c in checkpoint.chains),
-            stop_reason=None,
-            resumed=True,
-            checkpointed=False,
-            tuned=req.tune,
-            tune_cache_hit=tune_cache_hit,
-        )
-        return response
-
-    def _progress_event(self, req, stream, chunk, kept) -> dict:
-        event = {
-            "request_id": req.request_id,
-            "chain": chunk.chain,
-            "start": chunk.start,
-            "stop": chunk.stop,
-            "kept": list(kept),
-            "requested": req.samples,
-        }
-        phase = chunk.phase
-        if phase is not None:
-            event["phase"] = phase["phase"]
-            event["warmup_sweep"] = phase["sweep"]
-            event["warmup_total"] = phase["warmup"]
-            if phase["step_size"] is not None:
-                event["step_size"] = phase["step_size"]
-        if chunk.info:
-            event["info"] = chunk.info
-        if stream.monitor is not None:
-            event["worst_rhat"] = stream.monitor.worst_rhat()
-        return event
 
     def _cache_block(
         self, sampler, stream, spec_key, cache_hit, tune_cache_hit=None

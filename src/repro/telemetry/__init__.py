@@ -21,7 +21,10 @@ Three pillars of observability for compiled MCMC:
 - :mod:`repro.telemetry.metrics` -- fixed-bucket histograms and the
   Prometheus/OpenMetrics text exposition behind ``/v1/metrics``.
 - :mod:`repro.telemetry.flight` -- the per-request flight recorder:
-  a bounded ring of sweep digests dumped as a post-mortem artifact.
+  the request's live status and a bounded ring of sweep digests,
+  dumped as a post-mortem artifact.
+- :mod:`repro.telemetry.jsonenc` -- the one JSON encoder for service
+  responses and dumps (non-finite floats become ``null``).
 """
 
 from repro.telemetry.explain import CompileLedger, Decision

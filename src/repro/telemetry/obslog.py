@@ -41,6 +41,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.telemetry.jsonenc import json_default
 from repro.telemetry.trace import enable_tracing, get_tracer
 
 #: Numeric severities, syslog-style ordering.
@@ -73,16 +74,6 @@ def request_context(rid: str | None):
         _rid_var.reset(token)
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return repr(obj)
-
-
 @dataclass
 class ObsEvent:
     """One structured log event."""
@@ -107,7 +98,7 @@ class ObsEvent:
 
     def line(self) -> str:
         return json.dumps(
-            self.to_json(), default=_json_default, separators=(",", ":")
+            self.to_json(), default=json_default, separators=(",", ":")
         )
 
 

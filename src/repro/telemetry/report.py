@@ -7,9 +7,8 @@ acceptance ranges, and per-chain run metadata -- into a single file
 with no external assets, so it can be archived as a CI artifact or
 mailed around.
 
-``repro report model.bug ...`` and ``repro sample --report out.html``
-produce it from the CLI; :func:`write_report` is the library entry
-point.  Next to every ``.html`` a machine-readable ``.json`` twin is
+``repro sample --report out.html`` produces it from the CLI;
+:func:`write_report` is the library entry point.  Next to every ``.html`` a machine-readable ``.json`` twin is
 written with the same payload.
 """
 

@@ -69,6 +69,13 @@ def test_rhat_report_flags_divergence():
     assert "NOT CONVERGED" in text
 
 
+def test_rhat_report_stuck_chains_read_infinite():
+    chains = [{"mu": np.full(48, 7.0095506)}, {"mu": np.full(48, 0.1)}]
+    text = rhat_report(chains, "mu")
+    assert "mu: inf" in text
+    assert "worst: inf -- NOT CONVERGED" in text
+
+
 def test_rhat_report_vector_parameter():
     rng = np.random.default_rng(2)
     chains = [{"theta": rng.normal(size=(200, 3))} for _ in range(2)]

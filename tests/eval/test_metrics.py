@@ -156,6 +156,14 @@ def test_split_rhat_constant_chains():
     assert split_potential_scale_reduction(np.ones((2, 8))) == 1.0
 
 
+def test_split_rhat_of_chains_stuck_apart_is_infinite():
+    # Each half chain's rank scores are all equal, so its within-chain
+    # variance is exactly 0 however its mean rounds.
+    chains = np.array([[7.0095506] * 48, [0.1] * 48])
+    assert split_potential_scale_reduction(chains) == np.inf
+    assert potential_scale_reduction(chains) == np.inf
+
+
 def test_ess_bulk_iid_near_total():
     rng = np.random.default_rng(15)
     chains = rng.normal(size=(4, 500))

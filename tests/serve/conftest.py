@@ -11,6 +11,17 @@ from repro.eval import models
 
 HYPERS = {"N": 40, "mu_0": 0.0, "v_0": 25.0, "v": 1.0}
 
+#: The keys ``GET /v1/requests/<id>`` answers with, per request state.
+QUEUED_KEYS = {"request_id", "state", "enqueued"}
+PROGRESS_KEYS = QUEUED_KEYS | {
+    "phase", "kept", "requested", "worst_rhat", "last_chunk",
+}
+WARMUP_KEYS = PROGRESS_KEYS | {"step_size", "warmup_sweep", "warmup_total"}
+DONE_KEYS = {
+    "request_id", "state", "verdict", "complete", "stop_reason", "draws",
+}
+ERROR_KEYS = {"request_id", "state", "error"}
+
 
 def make_y() -> np.ndarray:
     rng = np.random.default_rng(0)

@@ -9,13 +9,15 @@ executor.
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.chains import stream_chains
+from repro.core.chains import ChainResume, stream_chains
 from repro.errors import ReproError
 from repro.serve.checkpoint import Checkpoint, CheckpointStore
+from repro.serve.protocol import ProtocolError
 
 N_CHAINS = 2
 SAMPLES = 24
@@ -65,12 +67,12 @@ def test_resume_is_bitwise_identical(nn_sampler, executor, tmp_path):
         )
     )
     loaded = store.load("job")
-    assert loaded is not None and not loaded.complete
+    assert loaded is not None and loaded.min_kept < SAMPLES
 
     resumed = _drain(
         stream_chains(
             nn_sampler, executor=executor, num_samples=SAMPLES,
-            resume=loaded.resume_points(), **RUN,
+            resume=loaded.chains, **RUN,
         )
     )
     for ref, res in zip(reference, resumed):
@@ -90,14 +92,36 @@ def test_checkpoint_requires_resume_fields(nn_sampler):
         )
 
 
-def test_complete_flag(nn_sampler):
+def test_checkpoint_holds_chain_resumes(nn_sampler):
     results = _full_run(nn_sampler, "sequential")
     ckpt = Checkpoint.from_results(
         "job", "k", results, seed=11, num_samples=SAMPLES
     )
-    assert ckpt.complete
     assert ckpt.min_kept == SAMPLES
-    assert len(ckpt.chain_samples()) == N_CHAINS
+    assert len(ckpt.chains) == N_CHAINS
+    for chain, r in zip(ckpt.chains, results):
+        assert isinstance(chain, ChainResume)
+        assert (chain.start_sweep, chain.start_kept) == (r.sweeps_run, SAMPLES)
+        assert chain.rng_spec == r.rng_state
+        np.testing.assert_array_equal(chain.draws["mu"], r.samples["mu"])
+
+
+def _older_format(ckpt, monkeypatch) -> bytes:
+    """``ckpt`` pickled as a format whose chains are of a type that
+    ``repro.serve.checkpoint`` no longer defines, as the format before
+    ``ChainResume`` chains was."""
+    import repro.serve.checkpoint as module
+
+    class RetiredChain:
+        pass
+
+    RetiredChain.__module__ = module.__name__
+    RetiredChain.__qualname__ = "RetiredChain"
+    monkeypatch.setattr(module, "RetiredChain", RetiredChain, raising=False)
+    ckpt.chains = [RetiredChain() for _ in ckpt.chains]
+    body = pickle.dumps(ckpt)
+    monkeypatch.undo()
+    return body
 
 
 class TestStore:
@@ -121,6 +145,32 @@ class TestStore:
         assert store.list_ids() == [rid]
         store.delete(rid)
         assert store.list_ids() == []
+
+    @pytest.mark.parametrize(
+        "garble", ["garbage", "truncated", "not_ckpt", "older_format"]
+    )
+    def test_unreadable_file_is_a_protocol_error(
+        self, tmp_path, nn_sampler, garble, monkeypatch
+    ):
+        store = CheckpointStore(str(tmp_path))
+        ckpt = Checkpoint.from_results(
+            "job", "k", _full_run(nn_sampler, "sequential"),
+            seed=11, num_samples=SAMPLES,
+        )
+        path = store.save(ckpt)
+        body = open(path, "rb").read()
+        if garble == "garbage":
+            body = b"not a pickle"
+        elif garble == "truncated":
+            body = body[: len(body) // 2]
+        elif garble == "not_ckpt":
+            body = pickle.dumps({"request_id": "job"})
+        else:
+            body = _older_format(ckpt, monkeypatch)
+        with open(path, "wb") as f:
+            f.write(body)
+        with pytest.raises(ProtocolError, match="'resume': false"):
+            store.load("job")
 
     def test_distinct_ids_do_not_collide(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -259,7 +259,7 @@ def test_worker_events_carry_parent_rid_across_processes(
         payload = copy.deepcopy(nn_payload)
         payload["request_id"] = "xproc"
         payload["query"]["executor"] = "processes"
-        resp = service.handle(parse_infer_request(payload), rid="xproc")
+        resp = service.handle(parse_infer_request(payload))
         assert resp["status"] == "ok"
     finally:
         get_event_log().close()

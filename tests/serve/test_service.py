@@ -6,13 +6,15 @@ import copy
 import io
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.compiler import compile_model
+from repro.errors import ReproError
 from repro.eval import models
-from repro.serve.checkpoint import ChainCheckpoint, Checkpoint
 from repro.serve.protocol import (
     ProtocolError,
     json_response,
@@ -24,8 +26,17 @@ from repro.serve.session import (
     _verdict,
     summarize_chains,
 )
+from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.progress import StreamProgress
-from tests.serve.conftest import HYPERS, make_y
+from tests.serve.conftest import (
+    DONE_KEYS,
+    ERROR_KEYS,
+    HYPERS,
+    PROGRESS_KEYS,
+    QUEUED_KEYS,
+    WARMUP_KEYS,
+    make_y,
+)
 
 
 @pytest.fixture
@@ -36,8 +47,8 @@ def service(tmp_path):
     )
 
 
-def _handle(service, payload, **kwargs):
-    return service.handle(parse_infer_request(payload), **kwargs)
+def _handle(service, payload):
+    return service.handle(parse_infer_request(payload))
 
 
 def _strict_json(payload):
@@ -138,19 +149,27 @@ def test_stuck_chains_keep_the_monitor_json_valid(service, nn_payload):
     payload["query"]["schedule"] = "HMC[steps=3, step_size=50.0] mu"
     payload["query"]["samples"] = 48
     payload["budget"] = {"target_rhat": 1.2}
-    progress = []
-    resp = _handle(service, payload, progress_cb=progress.append)
+    flight = service.open_record("stuck")
+    resp = service.handle(parse_infer_request(payload), flight=flight)
     assert resp["stop_reason"] != "converged"
     assert resp["verdict"] == "not_converged"
     assert resp["monitor"]["worst_rhat"] == math.inf
-    assert progress[-1]["worst_rhat"] == math.inf
-    # On the wire (the response, and progress as the status route
-    # serves it) the infinite R-hat is null.
-    assert _strict_json(resp)["monitor"]["worst_rhat"] is None
-    assert _strict_json(progress)[-1]["worst_rhat"] is None
+    # The summary's R-hat, from the same draws, agrees.
+    comp = resp["summary"]["mu"]["components"]["mu"]
+    assert (comp["rhat"], comp["stuck"]) == (math.inf, True)
+    # The record keeps the value as measured...
+    assert flight.snapshot()["entries"][-1]["worst_rhat"] == math.inf
+    # ...and on the wire (the response, and the record as the
+    # flight-recorder route serves it) the infinite R-hat is null.
+    wire = _strict_json(resp)
+    assert wire["monitor"]["worst_rhat"] is None
+    assert wire["summary"]["mu"]["components"]["mu"] == dict(
+        comp, rhat=None
+    )
+    assert _strict_json(flight.snapshot())["entries"][-1]["worst_rhat"] is None
 
 
-def test_stuck_components_fail_the_verdict(service, nn_payload):
+def test_stuck_components_fail_the_verdict():
     # A 2-component mu stuck at 0 in one chain and at 1 in the other has
     # an infinite split R-hat; a mixing scalar b beside it must not make
     # the pair read converged.
@@ -162,22 +181,8 @@ def test_stuck_components_fail_the_verdict(service, nn_payload):
     assert summary["b"]["worst_rhat"] <= DEFAULT_RHAT
     assert summary["mu"]["worst_rhat"] == math.inf
     assert _verdict(summary, 2, DEFAULT_RHAT) == "not_converged"
-    # The answer from a checkpoint that already holds every draw judges
-    # the same way, and stays JSON.
-    req = parse_infer_request(dict(nn_payload, request_id="stuck"))
-    ckpt = Checkpoint(
-        request_id="stuck", spec_key="", seed=7, n_chains=2, num_samples=40,
-        burn_in=0, thin=1, collect=None,
-        chains=[
-            ChainCheckpoint(
-                state={}, rng_spec={}, n_kept=40, sweeps_run=40, draws=d
-            )
-            for d in chains
-        ],
-    )
-    resp = service._finish_complete_checkpoint(req, ckpt, "", False, 0.0, 0.0)
-    assert resp["verdict"] == "not_converged"
-    wire = _strict_json(resp)["summary"]
+    # Encoded, the summary stays JSON and flags the stuck components.
+    wire = _strict_json(summary)
     assert wire["mu"]["worst_rhat"] is None
     assert [
         (c["rhat"], c.get("stuck")) for c in wire["mu"]["components"].values()
@@ -237,15 +242,36 @@ def test_returned_process_draws_outlive_the_run(run_isolated):
     assert out.strip() == "ok"
 
 
-def test_progress_events_carry_chunk_info(service, nn_payload):
-    events = []
-    resp = _handle(service, nn_payload, progress_cb=events.append)
+class StatusSpy(FlightRecorder):
+    """A request record that also keeps its status after every chunk."""
+
+    def __init__(self, request_id):
+        super().__init__(request_id)
+        self.statuses = []
+
+    def record_chunk(self, *args, **kwargs):
+        fired = super().record_chunk(*args, **kwargs)
+        self.statuses.append(self.status())
+        return fired
+
+
+def test_record_carries_chunk_info(service, nn_payload):
+    flight = StatusSpy("chunks")
+    resp = service.handle(parse_infer_request(nn_payload), flight=flight)
     assert resp["complete"] is True
-    assert len(events) >= 2
-    chunk_infos = [e["info"] for e in events if "info" in e]
-    assert chunk_infos, "chunks should carry per-update stat digests"
-    entry = next(iter(chunk_infos[0].values()))
-    assert "accept_rate" in entry and "n_proposed" in entry
+    assert len(flight.statuses) >= 2
+    for status in flight.statuses:
+        info = status["last_chunk"]["info"]
+        entry = next(iter(info.values()))
+        assert "accept_rate" in entry and "n_proposed" in entry
+    entries = flight.snapshot()["entries"]
+    assert len(entries) == len(flight.statuses)
+    assert all(e["stats"] for e in entries)
+    assert flight.status() == {
+        "request_id": "chunks", "state": "done",
+        "verdict": resp["verdict"], "complete": True, "stop_reason": None,
+        "draws": resp["draws"],
+    }
 
 
 def test_warmup_phase_reaches_every_consumer(service, nn_payload):
@@ -282,20 +308,21 @@ def test_warmup_phase_reaches_every_consumer(service, nn_payload):
         schedule="NUTS mu", warmup=warmup, samples=samples,
         chunk_size=chunk, executor="processes",
     )
-    events = []
-    resp = _handle(service, payload, progress_cb=events.append)
+    flight = StatusSpy("warm")
+    resp = service.handle(parse_infer_request(payload), flight=flight)
     assert resp["complete"] is True
-    # (b) service progress events.
-    warm_events = [e for e in events if e.get("phase") == "warmup"]
-    assert len(warm_events) == 2 * (warmup // chunk)
-    for e in warm_events:
-        assert e["warmup_total"] == warmup
-        assert 0 < e["warmup_sweep"] <= warmup
-        assert e["step_size"] > 0
-        assert set(e["info"]) == {"NUTS mu"}
-    assert events[-1]["phase"] == "sampling"
+    # (b) the request's status after each chunk.
+    warm_status = [s for s in flight.statuses if s["state"] == "warmup"]
+    assert len(warm_status) == 2 * (warmup // chunk)
+    for s in warm_status:
+        assert s["phase"] == "warmup"
+        assert s["warmup_total"] == warmup
+        assert 0 < s["warmup_sweep"] <= warmup
+        assert s["step_size"] > 0
+        assert set(s["last_chunk"]["info"]) == {"NUTS mu"}
+    assert flight.statuses[-1]["state"] == "sampling"
     # (c) flight recorder entries.
-    entries = service.flight_record("warm")["entries"]
+    entries = flight.snapshot()["entries"]
     assert {e["phase"] for e in entries} == {"warmup", "sampling"}
     assert all(e["step_size"] > 0 for e in entries)
 
@@ -335,3 +362,111 @@ def test_summarize_handles_multidim_and_ragged():
     comps = out["theta"]["components"]
     assert set(comps) == {"theta[0]", "theta[1]", "theta[2]", "theta[3]"}
     assert out["theta"]["worst_rhat"] >= 1.0
+
+
+# -- the request record ------------------------------------------------------
+
+def test_each_state_answers_exactly_its_keys(service, nn_payload):
+    queued = service.open_record("keys").status()
+    assert set(queued) == QUEUED_KEYS and queued["state"] == "queued"
+
+    payload = copy.deepcopy(nn_payload)
+    payload["query"].update(
+        schedule="NUTS mu", warmup=8, samples=8, chunk_size=4,
+    )
+    payload["budget"] = {"target_rhat": 1.5}
+    flight = StatusSpy("keys")
+    resp = service.handle(parse_infer_request(payload), flight=flight)
+    assert {s["state"] for s in flight.statuses} == {"warmup", "sampling"}
+    for s in flight.statuses:
+        assert set(s) == WARMUP_KEYS
+        assert set(s["last_chunk"]) == {"chain", "start", "stop", "info"}
+        assert s["requested"] == 8 and len(s["kept"]) == 2
+        assert s["enqueued"] == flight.created
+    assert flight.statuses[-1]["kept"] == resp["draws"]["kept"]
+    assert set(flight.status()) == DONE_KEYS
+
+    # Without warmup no warmup position is known.
+    plain = StatusSpy("plain")
+    service.handle(parse_infer_request(nn_payload), flight=plain)
+    assert all(set(s) == PROGRESS_KEYS for s in plain.statuses)
+    assert all(s["state"] == "sampling" for s in plain.statuses)
+
+    bad = dict(nn_payload, request_id="keys-err", model_source="not a model")
+    with pytest.raises(ReproError):
+        _handle(service, bad)
+    failed = service.request_status("keys-err")
+    assert set(failed) == ERROR_KEYS and failed["state"] == "error"
+
+
+def test_history_keeps_in_flight_and_recent_finished(service, nn_payload):
+    service.open_record("long")  # accepted, never finished
+    payload = dict(nn_payload, report=False)
+    for i in range(70):
+        _handle(service, dict(payload, request_id=f"r{i}"))
+    assert service.request_status("long")["state"] == "queued"
+    kept = [i for i in range(70) if service.request_status(f"r{i}")]
+    assert kept == list(range(6, 70))
+    for i in (0, 5, 6, 69):
+        assert (service.request_status(f"r{i}") is None) == (
+            service.flight_record(f"r{i}") is None
+        )
+
+
+def test_records_hold_under_concurrent_requests(service, nn_payload):
+    # More request threads than cores and a short switch interval, with
+    # a reader polling the status views the way the event loop does: a
+    # torn status, a lost record or an evicted in-flight one shows.
+    n_threads, per_thread = 6, 12
+    payload = dict(nn_payload, report=False)
+    payload["query"] = dict(payload["query"], samples=8, chunk_size=2)
+    errors, done = [], threading.Event()
+
+    def serve(t):
+        try:
+            service.open_record(f"held-{t}")  # in flight throughout
+            for i in range(per_thread):
+                _handle(service, dict(payload, request_id=f"t{t}-{i}"))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    def poll():
+        while not done.is_set():
+            try:
+                for rid, active in service.active_requests().items():
+                    assert set(active) == {
+                        "phase", "step_size", "warmup_sweep",
+                        "warmup_total", "kept",
+                    }
+                for t in range(n_threads):
+                    for i in range(per_thread):
+                        s = service.request_status(f"t{t}-{i}")
+                        if s is not None and s["state"] == "sampling":
+                            last = s["last_chunk"]
+                            assert s["kept"][last["chain"]] == last["stop"]
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=serve, args=(t,))
+                   for t in range(n_threads)]
+        reader = threading.Thread(target=poll)
+        for th in threads + [reader]:
+            th.start()
+        for th in threads:
+            th.join(120)
+        done.set()
+        reader.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads + [reader])
+    assert errors == []
+    for t in range(n_threads):
+        assert service.request_status(f"held-{t}")["state"] == "queued"
+    finished = [
+        (t, i) for t in range(n_threads) for i in range(per_thread)
+        if service.request_status(f"t{t}-{i}") is not None
+    ]
+    assert len(finished) == 64

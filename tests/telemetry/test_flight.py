@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,10 +61,62 @@ def test_entry_captures_stats_phase_and_rhat():
     assert stats["n_sweeps"] == 5
 
 
-def test_non_finite_rhat_is_nulled():
+def test_non_finite_rhat_is_nulled(tmp_path):
+    # The record keeps R-hat as measured; the encoded dump sends the
+    # unknown (nan) and the stuck (inf) value as null.
     fr = FlightRecorder("req")
     fr.record_chunk(_chunk(info=_info()), worst_rhat=float("nan"))
-    assert fr.snapshot()["entries"][0]["worst_rhat"] is None
+    fr.record_chunk(_chunk(info=_info()), worst_rhat=float("inf"))
+    entries = fr.snapshot()["entries"]
+    assert math.isnan(entries[0]["worst_rhat"])
+    assert entries[1]["worst_rhat"] == math.inf
+    path = str(tmp_path / "f.json")
+    fr.dump(path, "divergence")
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    on_disk = json.loads(open(path).read(), parse_constant=reject)
+    assert [e["worst_rhat"] for e in on_disk["entries"]] == [None, None]
+
+
+def test_status_follows_the_request():
+    fr = FlightRecorder("req")
+    assert fr.status() == {
+        "request_id": "req", "state": "queued", "enqueued": fr.created,
+    }
+    phase = {"phase": "warmup", "sweep": 4, "warmup": 10, "step_size": 0.5}
+    fr.record_chunk(
+        _chunk(chain=1, start=0, stop=0, info=_info(), phase=phase),
+        worst_rhat=1.3, kept=[0, 0], requested=20,
+    )
+    assert fr.status() == {
+        "request_id": "req", "state": "warmup", "enqueued": fr.created,
+        "phase": "warmup", "kept": [0, 0], "requested": 20,
+        "worst_rhat": 1.3,
+        "last_chunk": {"chain": 1, "start": 0, "stop": 0, "info": _info()},
+        "step_size": 0.5, "warmup_sweep": 4, "warmup_total": 10,
+    }
+    fr.record_chunk(_chunk(chain=0, stop=5), kept=[5, 0], requested=20)
+    status = fr.status()
+    assert status["state"] == status["phase"] == "sampling"
+    assert status["last_chunk"]["info"] is None
+    # The last known step size and warmup position stay.
+    assert (status["step_size"], status["warmup_sweep"]) == (0.5, 4)
+    assert fr.finished is False
+    fr.close("done", verdict="unknown", complete=False,
+             stop_reason="deadline", draws={"kept": [5, 0]})
+    assert fr.finished is True
+    assert fr.status() == {
+        "request_id": "req", "state": "done", "verdict": "unknown",
+        "complete": False, "stop_reason": "deadline",
+        "draws": {"kept": [5, 0]},
+    }
+    failed = FlightRecorder("bad")
+    failed.close("error", error="boom")
+    assert failed.status() == {
+        "request_id": "bad", "state": "error", "error": "boom",
+    }
 
 
 def test_divergence_trigger_fires_exactly_once():
