@@ -271,7 +271,6 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
         monitor = ConvergenceMonitor(
             param_names=collect or sampler.param_names,
             n_chains=args.chains,
-            total_draws=max(args.samples, 4),
             divergence_warn=args.divergence_warn,
             emit=(
                 (lambda line: print(line, file=sys.stderr))
@@ -370,7 +369,14 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
             f"{args.early_stop_rhat}; chains kept {kept} draws"
         )
     from repro.eval.diagnostics import rhat_report
+    from repro.telemetry.monitors import DEFAULT_RHAT
 
+    # Judged against the early-stop target when one is set, as the
+    # service judges against ``target_rhat``.
+    threshold = (
+        args.early_stop_rhat if args.early_stop_rhat is not None
+        else DEFAULT_RHAT
+    )
     # Early-stopped chains can hold unequal draw counts; cross-chain
     # reports use the common prefix.
     report_results = results
@@ -381,7 +387,7 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
             for r in results
         ]
     for name in collect or sampler.param_names:
-        print(rhat_report(report_results, name))
+        print(rhat_report(report_results, name, threshold))
     if args.stats:
         from repro.telemetry.stats import stack_chain_stats
 
@@ -403,7 +409,7 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
                     f"(range {lo:.3f}-{hi:.3f})"
                 )
     if monitor is not None:
-        print(monitor.report())
+        print(monitor.report(threshold))
     if args.profile and results and results[0].profile is not None:
         print(results[0].profile.table(sampler.source_map))
     if args.report:

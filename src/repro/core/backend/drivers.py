@@ -57,10 +57,6 @@ class UpdateStats:
     accepted: int = 0
     nan_rejected: int = 0
 
-    @property
-    def nan_reject_rate(self) -> float:
-        return self.nan_rejected / self.proposed if self.proposed else 0.0
-
     def snapshot(self) -> tuple[int, int, int]:
         return (self.proposed, self.accepted, self.nan_rejected)
 

@@ -613,12 +613,13 @@ class ChainStream:
 
     The stream drives the unified monitor protocol documented on
     :class:`~repro.telemetry.monitors.ConvergenceMonitor` --
-    ``observe_chunk`` per chunk, then ``chain_done`` per finished
-    chain -- identically for every executor.  With ``early_stop_rhat``
-    set, the stream polls ``monitor.converged`` after each chunk and
-    broadcasts the stop flag once it holds; a ``KeyboardInterrupt``
-    while iterating (or :meth:`request_stop`) does the same, so partial
-    results are always finalized.
+    ``observe_chunk`` per chunk (and once for a resumed chain's prior
+    draws), ``chain_done`` per finished chain, ``release`` when the
+    stream ends -- identically for every executor.  With
+    ``early_stop_rhat`` set, the stream polls ``monitor.converged``
+    after each chunk and broadcasts the stop flag once it holds; a
+    ``KeyboardInterrupt`` while iterating (or :meth:`request_stop`)
+    does the same, so partial results are always finalized.
     """
 
     def __init__(
@@ -655,10 +656,10 @@ class ChainStream:
         # explicitly since context vars do not cross them.
         self._obslog = get_event_log()
         self._rid = current_rid()
-        if executor == "sequential":
-            self._gen = self._run_sequential()
-        else:
-            self._gen = self._run_processes()
+        self._gen = self._released(
+            self._run_sequential() if executor == "sequential"
+            else self._run_processes()
+        )
 
     # -- control -----------------------------------------------------------
 
@@ -694,12 +695,19 @@ class ChainStream:
 
     # -- shared plumbing ---------------------------------------------------
 
+    def _released(self, chunks):
+        """``chunks``, then the monitor lets go of the draw storage
+        however the stream ends (exhausted, raised or closed): process
+        storage is a view of a segment that dies with the results."""
+        try:
+            yield from chunks
+        finally:
+            if self.monitor is not None:
+                self.monitor.release()
+
     def _ingest(self, chunk: ChainChunk) -> None:
         if self.monitor is not None:
-            self.monitor.observe_chunk(
-                chunk.chain, chunk.start, chunk.stop, chunk.samples,
-                chunk.info,
-            )
+            self.monitor.observe_chunk(chunk)
             if (
                 self._early_stop is not None
                 and not self._stop_requested
@@ -733,7 +741,7 @@ class ChainStream:
     def _apply_resume(self, chain: int, storage: dict) -> None:
         """Splice a resumed chain's prior kept draws into its freshly
         allocated draw storage so the finished result covers the whole
-        run, not just the resumed leg."""
+        run, not just the resumed leg; the monitor counts them too."""
         r = self._resume[chain]
         if r is None or not r.draws:
             return
@@ -745,6 +753,10 @@ class ChainStream:
                     store[:n] = vals[:n]
             elif isinstance(store, list) and not store:
                 store.extend(vals)
+        if self.monitor is not None:
+            self.monitor.observe_chunk(
+                ChainChunk(chain, 0, r.start_kept, storage)
+            )
 
     # -- executors ---------------------------------------------------------
 
@@ -954,8 +966,10 @@ def stream_chains(
 
     ``monitor`` (a :class:`~repro.telemetry.monitors.ConvergenceMonitor`)
     is fed as chunks land.  ``early_stop_rhat`` stops every chain once
-    the worst split R-hat falls below it (creating a monitor when none
-    is given); stopped chains keep a bitwise prefix of their draws.
+    the worst split R-hat of the chains' common prefix is at or below
+    it (creating a monitor when none is given; one chain has no R-hat,
+    so it never stops early); stopped chains keep a bitwise prefix of
+    their draws.
 
     ``resume`` optionally supplies one :class:`ChainResume` (or
     ``None``) per chain; resumed chains continue bit-for-bit from their
@@ -982,7 +996,6 @@ def stream_chains(
         monitor = ConvergenceMonitor(
             param_names=tuple(collect) if collect else sampler.param_names,
             n_chains=n_chains,
-            total_draws=max(num_samples, 4),
         )
     rngs = Rng(seed).fork(n_chains)
     if resume is not None:

@@ -64,16 +64,6 @@ class ModelInfo:
     def data_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.vars.values() if v.is_data)
 
-    def discrete_params(self) -> tuple[str, ...]:
-        return tuple(
-            v.name for v in self.vars.values() if v.is_param and v.is_discrete
-        )
-
-    def continuous_params(self) -> tuple[str, ...]:
-        return tuple(
-            v.name for v in self.vars.values() if v.is_param and not v.is_discrete
-        )
-
 
 def analyze_model(model: Model, hyper_types: dict[str, Ty]) -> ModelInfo:
     """Type-check ``model`` and build its symbol table."""

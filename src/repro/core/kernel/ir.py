@@ -39,16 +39,6 @@ class UpdateMethod(enum.Enum):
     def needs_gradient(self) -> bool:
         return self in (UpdateMethod.HMC, UpdateMethod.NUTS)
 
-    @property
-    def needs_full_conditional(self) -> bool:
-        return self is UpdateMethod.GIBBS
-
-    @property
-    def needs_likelihood(self) -> bool:
-        # Figure 7: every update except Gibbs evaluates the conditional
-        # density of the current/proposed point.
-        return self is not UpdateMethod.GIBBS
-
 
 @dataclass(frozen=True)
 class KernelUnit:

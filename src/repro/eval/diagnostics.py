@@ -17,6 +17,7 @@ from repro.eval.metrics import (
     potential_scale_reduction,
     split_potential_scale_reduction,
 )
+from repro.telemetry.monitors import DEFAULT_RHAT
 
 
 def ascii_series(
@@ -104,9 +105,12 @@ def trace_plot(samples: dict[str, np.ndarray], parameter: str, component=None) -
     return ascii_series(series, label=label)
 
 
-def rhat_report(chain_results, parameter: str) -> str:
+def rhat_report(
+    chain_results, parameter: str, threshold: float = DEFAULT_RHAT
+) -> str:
     """Rank-normalized split R-hat + bulk/tail ESS for every scalar
-    component of ``parameter`` across chains.
+    component of ``parameter`` across chains, judged converged when the
+    worst is at or below ``threshold``.
 
     Chains shorter than 4 draws cannot be split; they fall back to the
     classic Gelman-Rubin statistic (flagged in the header) with ESS
@@ -133,6 +137,6 @@ def rhat_report(chain_results, parameter: str) -> str:
             r = potential_scale_reduction(comp)
             lines.append(f"  {parameter}{tag}: {r:.3f}")
         worst = max(worst, r)
-    verdict = "OK (< 1.1)" if worst < 1.1 else "NOT CONVERGED"
+    verdict = f"OK (<= {threshold})" if worst <= threshold else "NOT CONVERGED"
     lines.append(f"  worst: {worst:.3f} -- {verdict}")
     return "\n".join(lines)

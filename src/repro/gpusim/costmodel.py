@@ -33,8 +33,6 @@ class CostModel:
     #: Slowdown of a single device thread running sequential code
     #: relative to a lane executing within a full kernel.
     seq_penalty: float = 24.0
-    #: Host<->device copy bandwidth, bytes per second (PCIe-3 x16-ish).
-    transfer_bandwidth: float = 12e9
 
     def par_time(self, threads: int, ops: int) -> float:
         """A data-parallel kernel: launch + waves of ``width`` lanes."""
@@ -63,6 +61,3 @@ class CostModel:
     def seq_time(self, ops: int) -> float:
         """Sequential device code: one lane, penalised."""
         return ops * self.op_time * self.seq_penalty
-
-    def transfer_time(self, nbytes: int) -> float:
-        return nbytes / self.transfer_bandwidth

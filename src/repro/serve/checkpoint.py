@@ -186,17 +186,3 @@ class CheckpointStore:
             os.unlink(self.path(request_id))
         except FileNotFoundError:
             pass
-
-    def list_ids(self) -> list[str]:
-        """Request ids of every stored checkpoint (best effort: ids are
-        read back from the pickles)."""
-        out = []
-        for name in sorted(os.listdir(self.root)):
-            if not name.endswith(".ckpt"):
-                continue
-            try:
-                with open(os.path.join(self.root, name), "rb") as f:
-                    out.append(pickle.load(f).request_id)
-            except Exception:
-                continue
-        return out

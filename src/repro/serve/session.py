@@ -41,35 +41,24 @@ from repro.serve.checkpoint import (
 )
 from repro.serve.protocol import InferRequest, ProtocolError, coerce_values
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.monitors import DEFAULT_DIVERGENCE_WARN
+from repro.telemetry.monitors import (
+    DEFAULT_DIVERGENCE_WARN,
+    DEFAULT_RHAT,
+    component_rhat,
+    components,
+)
 from repro.telemetry.obslog import log_event, request_context
 from repro.telemetry.requests import ServiceMetrics
 
-#: Verdict threshold when the request sets no explicit target.
-DEFAULT_RHAT = 1.05
-#: At most this many scalar components per parameter enter the summary.
-MAX_COMPONENTS = 4
-#: Minimum common draws before R-hat is considered meaningful.
-MIN_RHAT_DRAWS = 8
 #: The status keys ``/v1/metrics`` lists per request in warmup or sampling.
 _ACTIVE_KEYS = ("phase", "step_size", "warmup_sweep", "warmup_total", "kept")
 
 
-def _components(value) -> list[tuple[str, np.ndarray]]:
-    """Flatten one parameter's per-draw array ``(n, *shape)`` into up to
-    :data:`MAX_COMPONENTS` scalar series, labelled by flat index."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim <= 1:
-        return [("", arr)]
-    flat = arr.reshape(arr.shape[0], -1)
-    take = min(flat.shape[1], MAX_COMPONENTS)
-    return [(f"[{j}]", flat[:, j]) for j in range(take)]
-
-
 def summarize_chains(chain_samples: list[dict]) -> dict:
     """Per-parameter posterior summary over the chains' common prefix:
-    mean/std pooled across chains plus split R-hat per tracked
-    component (absent with a single chain or too few draws).
+    mean/std pooled across chains plus split R-hat per judged
+    component (:func:`~repro.telemetry.monitors.components`; absent
+    with a single chain or too few draws).
 
     An R-hat is nan where it is unknown and ``inf`` where the chains are
     stuck at different values; such a component also reads ``"stuck":
@@ -96,21 +85,13 @@ def summarize_chains(chain_samples: list[dict]) -> dict:
             continue
         comps = {}
         worst = None
-        for j, (suffix, _) in enumerate(_components(per_chain[0][:n])):
-            series = [_components(v[:n])[j][1] for v in per_chain]
-            pooled = np.concatenate(series)
+        for suffix, series in components(per_chain, n):
             comp: dict = {
-                "mean": float(pooled.mean()),
-                "std": float(pooled.std()),
+                "mean": float(series.mean()),
+                "std": float(series.std()),
             }
-            if len(per_chain) >= 2 and n >= MIN_RHAT_DRAWS:
-                from repro.eval.metrics import (
-                    split_potential_scale_reduction,
-                )
-
-                rhat = float(
-                    split_potential_scale_reduction(np.stack(series))
-                )
+            rhat = component_rhat(series)
+            if rhat is not None:
                 comp["rhat"] = rhat
                 if math.isinf(rhat):
                     comp["stuck"] = True

@@ -7,8 +7,9 @@ Three pillars of observability for compiled MCMC:
   and surfaced as ``SampleResult.stats`` / ``sample_stats``.
 - :mod:`repro.telemetry.trace` -- a span API over compiler stages and
   runtime phases, exportable as a ``chrome://tracing`` JSON file.
-- :mod:`repro.telemetry.monitors` -- streaming Welford moments, online
-  split R-hat / ESS across live chains, and divergence-rate warnings.
+- :mod:`repro.telemetry.monitors` -- the convergence monitor of a live
+  multi-chain run (rank-normalised split R-hat and bulk ESS over the
+  chains' stored common prefix) and divergence-rate warnings.
 - :mod:`repro.telemetry.explain` -- the compiler decision ledger:
   structured ``(decision, choice, reason, provenance)`` entries for
   every silent choice the pipeline makes.
@@ -30,13 +31,7 @@ Three pillars of observability for compiled MCMC:
 from repro.telemetry.explain import CompileLedger, Decision
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.metrics import Histogram, render_prometheus
-from repro.telemetry.monitors import (
-    ConvergenceMonitor,
-    DivergenceTally,
-    OnlineEss,
-    SplitRhat,
-    Welford,
-)
+from repro.telemetry.monitors import ConvergenceMonitor, DivergenceTally
 from repro.telemetry.obslog import (
     EventLog,
     ObsEvent,
@@ -78,15 +73,12 @@ __all__ = [
     "FlightRecorder",
     "Histogram",
     "ObsEvent",
-    "OnlineEss",
     "SampleStats",
-    "SplitRhat",
     "StatField",
     "SweepProfile",
     "SweepProfiler",
     "Tracer",
     "UpdateStatsBuffer",
-    "Welford",
     "acceptance_ranges",
     "allocate_stat_buffers",
     "configure_event_log",

@@ -1,29 +1,14 @@
-"""Online convergence monitors: streaming moments, split R-hat, ESS.
+"""Convergence monitoring of a live multi-chain run.
 
-Everything here is *streaming*: constant memory per monitored scalar,
-one :meth:`update` per draw, diagnostics readable at any point during a
-run.  That is what lets ``sample_chains`` report convergence while the
-chains are still moving instead of after the fact:
-
-- :class:`Welford` -- numerically stable running mean/variance, with
-  the Chan et al. pairwise ``merge`` used to combine accumulators that
-  lived in different worker processes.
-- :class:`SplitRhat` -- online split-half potential scale reduction.
-  The classic split R-hat needs only the mean and variance of each
-  half-chain, so with the total draw count known up front it streams:
-  the first half of each chain feeds one Welford accumulator, the
-  second half another.
-- :class:`OnlineEss` -- batch-means effective sample size: ESS ~
-  ``n * var(draws) / (b * var(batch means))`` with batch size ``b``.
-  Coarser than the FFT autocorrelation estimator in ``eval.metrics``
-  (which the final report uses) but O(1) per draw.
-- :class:`DivergenceTally` -- the one divergence / NaN-reject count
-  of a run, fed from streamed chunk digests, with the one-shot
-  warning threshold; the flight recorder, the ``--stream`` progress
-  line and :class:`ConvergenceMonitor` each hold one.
-- :class:`ConvergenceMonitor` -- composes the above per monitored
-  scalar across chains and renders incremental progress lines and a
-  final report.
+- :class:`DivergenceTally` -- the one divergence / NaN-reject count of
+  a run, fed from chunk digests; the flight recorder, the ``--stream``
+  progress line and :class:`ConvergenceMonitor` each hold one.
+- :func:`components` / :func:`component_rhat` -- the judged scalar
+  components of a parameter and their rank-normalised split R-hat
+  (Vehtari et al. 2021): the one estimator of the service summary, its
+  verdict and the monitor.
+- :class:`ConvergenceMonitor` -- judges the draws a run has stored,
+  over the chains' common prefix, while the chains still move.
 """
 
 from __future__ import annotations
@@ -32,112 +17,48 @@ import math
 
 import numpy as np
 
-
-class Welford:
-    """Streaming mean/variance (Welford), mergeable across workers."""
-
-    __slots__ = ("n", "mean", "_m2")
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, x: float) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def var(self) -> float:
-        """Sample variance (ddof=1)."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    def merge(self, other: "Welford") -> "Welford":
-        """Combine two accumulators as if one had seen both streams."""
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self.mean, self._m2 = other.n, other.mean, other._m2
-            return self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.n * other.n / n
-        self.mean += delta * other.n / n
-        self.n = n
-        return self
-
-
-class SplitRhat:
-    """Online split-half R-hat for one scalar across ``n_chains`` chains."""
-
-    def __init__(self, n_chains: int, total_draws: int):
-        if n_chains < 1 or total_draws < 4:
-            raise ValueError("split R-hat needs >= 1 chain and >= 4 draws")
-        self.n_chains = n_chains
-        self.split_at = total_draws // 2
-        # Two half-chain accumulators per chain -> 2m half chains.
-        self._halves = [[Welford(), Welford()] for _ in range(n_chains)]
-
-    def update(self, chain: int, draw_index: int, value: float) -> None:
-        half = 0 if draw_index < self.split_at else 1
-        self._halves[chain][half].update(value)
-
-    def rhat(self) -> float:
-        """Split R-hat from the half-chain moments (NaN until every
-        half-chain has at least 2 draws)."""
-        halves = [w for pair in self._halves for w in pair if w.n >= 2]
-        if len(halves) < 2:
-            return float("nan")
-        n = min(w.n for w in halves)
-        means = np.array([w.mean for w in halves])
-        within = float(np.mean([w.var for w in halves]))
-        between = n * float(np.var(means, ddof=1))
-        if within <= 0.0:
-            return 1.0 if between <= 0.0 else float("inf")
-        var_plus = (n - 1) / n * within + between / n
-        return float(math.sqrt(var_plus / within))
-
-
-class OnlineEss:
-    """Batch-means ESS for one scalar chain, O(1) memory."""
-
-    def __init__(self, batch_size: int = 25):
-        self.batch_size = batch_size
-        self._draws = Welford()
-        self._batch_means = Welford()
-        self._batch_sum = 0.0
-        self._batch_n = 0
-
-    def update(self, value: float) -> None:
-        self._draws.update(value)
-        self._batch_sum += value
-        self._batch_n += 1
-        if self._batch_n == self.batch_size:
-            self._batch_means.update(self._batch_sum / self.batch_size)
-            self._batch_sum = 0.0
-            self._batch_n = 0
-
-    def ess(self) -> float:
-        """ESS estimate; NaN until at least two full batches exist."""
-        n = self._draws.n
-        if self._batch_means.n < 2:
-            return float("nan")
-        var = self._draws.var
-        if var <= 0.0:
-            return float(n)
-        tau = self.batch_size * self._batch_means.var / var
-        if tau <= 0.0:
-            return float(n)
-        return float(min(max(n / tau, 1.0), n))
-
+#: The R-hat at or below which chains count as converged when the
+#: caller sets no target (service verdict, monitor, ``rhat_report``).
+DEFAULT_RHAT = 1.05
+#: At most this many scalar components per parameter are judged.
+MAX_COMPONENTS = 4
+#: Common draws per chain before R-hat is considered meaningful.
+MIN_RHAT_DRAWS = 8
 
 #: Default divergence-rate warning threshold.
 DEFAULT_DIVERGENCE_WARN = 0.05
 
 #: Sweeps observed before a divergence rate is considered meaningful.
 MIN_SWEEPS = 20
+
+
+def components(per_chain: list, n: int) -> list[tuple[str, np.ndarray]]:
+    """The judged components of one dense parameter over the chains'
+    first ``n >= 1`` draws: up to :data:`MAX_COMPONENTS` flat columns,
+    each as ``(suffix, series)`` -- its label suffix (``""`` for a
+    scalar parameter, else ``"[j]"``) and its ``(chains, n)`` draws."""
+    arrs = [np.asarray(v[:n], dtype=np.float64) for v in per_chain]
+    if arrs[0].ndim <= 1:
+        return [("", np.stack(arrs))]
+    flat = [a.reshape(n, -1) for a in arrs]
+    take = min(flat[0].shape[1], MAX_COMPONENTS)
+    return [
+        (f"[{j}]", np.stack([f[:, j] for f in flat])) for j in range(take)
+    ]
+
+
+def component_rhat(series: np.ndarray) -> float | None:
+    """Rank-normalised split R-hat of one component's ``(chains, n)``
+    draws; ``None`` (unknown) with fewer than two chains or
+    :data:`MIN_RHAT_DRAWS` draws, ``inf`` where the chains are stuck at
+    different values."""
+    m, n = series.shape
+    if m < 2 or n < MIN_RHAT_DRAWS:
+        return None
+    # eval.metrics imports scipy.stats, which `import repro` must not.
+    from repro.eval.metrics import split_potential_scale_reduction
+
+    return float(split_potential_scale_reduction(series))
 
 
 class DivergenceTally:
@@ -215,145 +136,131 @@ class DivergenceTally:
 
 
 class ConvergenceMonitor:
-    """Cross-chain online diagnostics over a multi-chain run.
+    """Cross-chain convergence of a live multi-chain run.
 
-    Monitors up to ``max_components`` scalar components per collected
-    parameter: each gets a :class:`SplitRhat` across chains and one
-    :class:`OnlineEss` per chain.
+    Two jobs: the run's :class:`DivergenceTally`, and deciding when to
+    judge the draws the run has stored.  Every R-hat and ESS it reports
+    is :func:`component_rhat` or bulk ESS over the chains' common prefix
+    (the first ``min(kept)`` draws of every chain), read from their draw
+    storage; ragged parameters are not judged.
 
-    **Feeding protocol** — every executor of
-    :func:`repro.core.chains.stream_chains` drives the same two calls,
-    so the final monitor state is identical whichever executor ran (the
-    per-chain feed order is preserved and every accumulator is
-    per-(chain, scalar)):
-
-    1. :meth:`observe_chunk` (or :meth:`observe` per draw) as each
-       chain's kept draws become available, once per streamed chunk,
-       with the chunk's stat digest for the :class:`DivergenceTally`;
-    2. :meth:`chain_done` once per chain (progress line).
-
-    :meth:`converged` is the early-stopping predicate the streaming
-    engine polls.
+    Every executor of :func:`repro.core.chains.stream_chains` feeds it
+    alike: :meth:`observe_chunk` per chunk, :meth:`chain_done` per
+    finished chain, :meth:`release` when the stream ends; the stream
+    polls :meth:`converged` to stop early.  A read judges again only
+    once the common prefix has grown by an eighth, and the last
+    :meth:`chain_done` judges the final draws; other reads return the
+    cached values.  After that (or :meth:`release`) the monitor holds
+    no draw storage, which on the processes executor is a view of a
+    shared segment that dies with the run's results.
     """
 
     def __init__(
         self,
         param_names: tuple[str, ...],
         n_chains: int,
-        total_draws: int,
-        max_components: int = 4,
-        rhat_warn: float = 1.05,
         divergence_warn: float = DEFAULT_DIVERGENCE_WARN,
         emit=None,
     ):
         self.param_names = tuple(param_names)
         self.n_chains = n_chains
-        self.total_draws = total_draws
-        self.max_components = max_components
-        self.rhat_warn = rhat_warn
         self.divergence = DivergenceTally(divergence_warn)
         self.emit = emit  # callable(str) for incremental progress lines
-        self._rhat: dict[str, SplitRhat] = {}
-        self._ess: dict[str, list[OnlineEss]] = {}
         self._chains_done = 0
-        #: Kept draws ingested so far, per chain (drives ``converged``).
-        self._draws_seen = [0] * n_chains
+        #: Each chain's draw storage (``None`` once released), kept draws.
+        self._storage: list[dict] | None = [{} for _ in range(n_chains)]
+        self._kept = [0] * n_chains
+        #: The last judged prefix, its R-hat per component label and its
+        #: bulk ESS (computed on first read).
+        self._judged = 0
+        self._rhat: dict[str, float] = {}
+        self._ess: dict[str, float] | None = None
 
     # -- feeding -----------------------------------------------------------
 
-    def _components(self, name: str, value) -> list[tuple[str, float]]:
-        # Ragged values carry their scalars in .flat; np.asarray would
-        # see an opaque object.
-        flat_src = getattr(value, "flat", None)
-        if flat_src is not None and not isinstance(value, np.ndarray):
-            value = flat_src
-        flat = np.ravel(np.asarray(value, dtype=np.float64))
-        out = []
-        for j in range(min(flat.size, self.max_components)):
-            key = name if flat.size == 1 else f"{name}[{j}]"
-            out.append((key, float(flat[j])))
-        return out
-
-    def observe(self, chain: int, draw_index: int, state: dict) -> None:
-        """Ingest one kept draw of one chain."""
-        if draw_index >= self._draws_seen[chain]:
-            self._draws_seen[chain] = draw_index + 1
-        for name in self.param_names:
-            if name not in state:
-                continue
-            for key, value in self._components(name, state[name]):
-                rh = self._rhat.get(key)
-                if rh is None:
-                    rh = self._rhat[key] = SplitRhat(
-                        self.n_chains, self.total_draws
-                    )
-                    self._ess[key] = [OnlineEss() for _ in range(self.n_chains)]
-                rh.update(chain, draw_index, value)
-                self._ess[key][chain].update(value)
-
-    def observe_chunk(
-        self, chain: int, start: int, stop: int, samples: dict, info=None
-    ) -> None:
-        """Ingest kept draws ``start:stop`` of one chain from its draw
-        storage (the streaming executors call this per posted chunk;
-        dense parameters index straight into the shared-memory-backed
-        arrays, nothing is copied) and the chunk's stat digest ``info``
-        (a WARNING line the first time the divergence rate crosses the
-        threshold)."""
-        if self.divergence.observe(info) and self.emit is not None:
+    def observe_chunk(self, chunk) -> None:
+        """Note that ``chunk.chain`` keeps ``chunk.stop`` draws in
+        ``chunk.samples`` (nothing is read) and tally the chunk's stat
+        digest (a WARNING line when the divergence rate first crosses)."""
+        if self.divergence.observe(chunk.info) and self.emit is not None:
             self.emit(f"WARNING: {self.divergence.warning}")
-        for d in range(start, stop):
-            state = {}
-            for name in self.param_names:
-                vals = samples.get(name)
-                if vals is not None and d < len(vals):
-                    state[name] = vals[d]
-            self.observe(chain, d, state)
+        self._storage[chunk.chain] = chunk.samples
+        self._kept[chunk.chain] = chunk.stop
 
     def chain_done(self) -> None:
-        """Mark one chain complete and emit a progress line."""
+        """Mark one chain complete (the last one judges the final draws
+        and lets go of the storage); emit a progress line."""
         self._chains_done += 1
+        if self._chains_done == self.n_chains:
+            self._judge(min(self._kept), ess=True)
+            self._storage = None
         if self.emit is not None:
             self.emit(self.progress_line())
+
+    def release(self) -> None:
+        """Let go of the draw storage unread; reads keep the last values."""
+        self._storage = None
+
+    # -- judging -----------------------------------------------------------
+
+    def _series(self, n: int):
+        """``(label, series)`` of every judged component, first ``n``."""
+        for name in self.param_names:
+            per_chain = [s.get(name) for s in self._storage]
+            if all(isinstance(v, np.ndarray) for v in per_chain):
+                for suffix, series in components(per_chain, n):
+                    yield name + suffix, series
+
+    def _judge(self, n: int, ess: bool = False) -> None:
+        """R-hat (and with ``ess`` bulk ESS) over the first ``n`` draws."""
+        if n < MIN_RHAT_DRAWS:
+            return
+        if ess:
+            from repro.eval.metrics import ess_bulk
+        self._judged, self._rhat = n, {}
+        self._ess = {} if ess else None
+        for label, series in self._series(n):
+            rhat = component_rhat(series)
+            self._rhat[label] = math.nan if rhat is None else rhat
+            if ess:
+                self._ess[label] = ess_bulk(series)
+
+    def _refresh(self) -> None:
+        """Judge again if the common prefix grew by an eighth."""
+        if self._storage is not None:
+            n = min(self._kept)
+            if 8 * n >= 9 * self._judged and n > self._judged:
+                self._judge(n)
 
     # -- reading -----------------------------------------------------------
 
     def worst_rhat(self) -> float:
-        """The largest split R-hat over the monitored scalars.
+        """The largest split R-hat over the judged components: ``inf``
+        (chains stuck apart) is the worst there is; ``nan`` (unknown) is
+        skipped, and returned only when no component has a value."""
+        self._refresh()
+        known = [v for v in self._rhat.values() if not math.isnan(v)]
+        return max(known) if known else math.nan
 
-        ``inf`` (chains stuck at different values) is the worst value
-        there is; ``nan`` (too few draws to tell) is unknown and skipped,
-        and is returned only when no scalar has a value yet."""
-        known = [v for v in (m.rhat() for m in self._rhat.values())
-                 if not math.isnan(v)]
-        return max(known) if known else float("nan")
-
-    def converged(self, threshold: float, min_draws: int = 8) -> bool:
-        """The early-stopping predicate: True once every chain has fed
-        at least ``min_draws`` kept draws and the worst split R-hat over
-        every monitored scalar is finite and at or below ``threshold``.
-        Deterministic in the monitor state, so the stop decision lands
-        on the same draw for the same feed whichever executor runs."""
-        if not self._rhat or min(self._draws_seen) < min_draws:
-            return False
+    def converged(self, threshold: float) -> bool:
+        """The early-stopping predicate: the worst split R-hat is known,
+        finite and at or below ``threshold``."""
         worst = self.worst_rhat()
         return math.isfinite(worst) and worst <= threshold
 
     def min_ess(self) -> float:
-        totals = []
-        for accs in self._ess.values():
-            per_chain = [a.ess() for a in accs]
-            finite = [v for v in per_chain if math.isfinite(v)]
-            if finite:
-                totals.append(sum(finite))
-        return min(totals) if totals else float("nan")
+        """The smallest bulk ESS over the judged components."""
+        self._refresh()
+        if self._ess is None and self._storage is not None:
+            self._judge(self._judged, ess=True)
+        return min(self._ess.values()) if self._ess else math.nan
 
-    def warnings(self) -> list[str]:
+    def warnings(self, threshold: float = DEFAULT_RHAT) -> list[str]:
         out = []
         worst = self.worst_rhat()
-        if worst > self.rhat_warn:
+        if worst > threshold:
             out.append(
-                f"split R-hat {worst:.3f} exceeds {self.rhat_warn} -- "
+                f"split R-hat {worst:.3f} exceeds {threshold} -- "
                 "chains have not converged"
             )
         if self.divergence.warning:
@@ -370,19 +277,21 @@ class ConvergenceMonitor:
             f"worst split R-hat {rhat_s}, min ESS {ess_s}"
         )
 
-    def report(self) -> str:
-        lines = ["online convergence report:"]
+    def report(self, threshold: float = DEFAULT_RHAT) -> str:
+        """The per-component R-hat and ESS table, flagged against
+        ``threshold``, then the divergence lines and warnings."""
+        self.min_ess()  # the judgement with ESS the table reads
+        ess_by = self._ess or {}
+        lines = [f"online convergence report ({self._judged} common draws):"]
         for key in sorted(self._rhat):
-            r = self._rhat[key].rhat()
-            per_chain = [a.ess() for a in self._ess[key]]
-            finite = [v for v in per_chain if math.isfinite(v)]
-            ess = sum(finite) if finite else float("nan")
+            r = self._rhat[key]
+            ess = ess_by.get(key, math.nan)
             rhat_s = "  n/a" if math.isnan(r) else f"{r:5.3f}"
             ess_s = f"{ess:8.0f}" if math.isfinite(ess) else "     n/a"
-            flag = "  <-- " if r > self.rhat_warn else ""
+            flag = "  <-- " if r > threshold else ""
             lines.append(f"  {key:20s} split R-hat {rhat_s}  ESS {ess_s}{flag}")
         lines.extend(self.divergence.lines())
-        warns = self.warnings()
+        warns = self.warnings(threshold)
         if warns:
             lines.extend(f"  WARNING: {w}" for w in warns)
         else:

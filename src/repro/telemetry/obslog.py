@@ -112,7 +112,6 @@ class EventLog:
         self.level_name = "info"
         self.dropped = 0
         self._sink = None
-        self._sink_path: str | None = None
         self._owns_sink = False
         #: The worker capture buffer, ``None`` outside capture mode.
         self._capture: list[ObsEvent] | None = None
@@ -132,11 +131,9 @@ class EventLog:
             self._close_sink_locked()
             if path is not None:
                 self._sink = open(path, "a", buffering=1)
-                self._sink_path = path
                 self._owns_sink = True
             elif stream is not None:
                 self._sink = stream
-                self._sink_path = None
                 self._owns_sink = False
             self.level = LEVELS[level]
             self.level_name = level
@@ -154,7 +151,6 @@ class EventLog:
             except OSError:
                 pass
         self._sink = None
-        self._sink_path = None
         self._owns_sink = False
 
     def reset_after_fork(self) -> None:
@@ -167,7 +163,6 @@ class EventLog:
         the explicit drop keeps the intent obvious.
         """
         self._sink = None
-        self._sink_path = None
         self._owns_sink = False
         self._capture = None
         self._ring.clear()
@@ -215,10 +210,6 @@ class EventLog:
         if rid is None:
             return events
         return [e for e in events if e.rid == rid]
-
-    @property
-    def sink_path(self) -> str | None:
-        return self._sink_path
 
 
 #: The process-wide event log every emission point reports to.

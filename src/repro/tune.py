@@ -19,7 +19,7 @@ with measurement:
    identical to compiling the winner's schedule directly.
 3. **Score** with measured seconds/sweep (the sweep profiler's
    attribution rides into the report); gradient-method swaps are judged
-   on ESS/second from the online monitors instead, since a NUTS sweep
+   on ESS/second (the trial chain's bulk ESS) instead, since a NUTS sweep
    costs more but may mix far better.
 4. **Record** the whole tournament as ``tune.*`` ledger entries on the
    winning sampler (surfaced by ``explain()``, the CLI table, and the
@@ -50,7 +50,6 @@ from repro.core.kernel.validate import validate_schedule
 from repro.core.options import CompileOptions
 from repro.errors import ParseError, ReproError, ScheduleError
 from repro.runtime.rng import Rng
-from repro.telemetry.monitors import OnlineEss
 
 #: Trials always sample from fresh streams seeded with this constant --
 #: never from the caller's seed -- so tuning cannot perturb production
@@ -291,18 +290,15 @@ def _trial(
 
     ess_per_s = None
     measured = [v for v in ess_vars if v in result.samples]
-    if measured:
-        worst = None
-        batch = max(2, sweeps // 5)
-        for var in measured:
-            monitor = OnlineEss(batch_size=batch)
-            for value in _first_component(result.array(var)):
-                monitor.update(float(value))
-            e = monitor.ess()
-            if not np.isnan(e):
-                worst = e if worst is None else min(worst, e)
-        if worst is not None:
-            ess_per_s = float(worst) / (sps * sweeps)
+    if measured and sweeps >= 4:  # bulk ESS splits the chain in halves
+        # eval.metrics imports scipy.stats; only gradient trials pay it.
+        from repro.eval.metrics import ess_bulk
+
+        worst = min(
+            ess_bulk(_first_component(result.array(var))[None, :])
+            for var in measured
+        )
+        ess_per_s = worst / (sps * sweeps)
 
     rows = []
     if result.profile is not None:

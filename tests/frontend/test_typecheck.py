@@ -140,8 +140,7 @@ def test_analyze_model_symbol_table():
     mi = analyze_model(m, gmm_hyper_types())
     assert mi.param_names() == ("mu", "z")
     assert mi.data_names() == ("x",)
-    assert mi.discrete_params() == ("z",)
-    assert mi.continuous_params() == ("mu",)
+    assert mi.info("z").is_discrete and not mi.info("mu").is_discrete
     assert mi.info("z").dist_name == "Categorical"
     assert mi.info("mu").support == "real_vec"
     with pytest.raises(TypeCheckError):

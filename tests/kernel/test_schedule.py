@@ -102,7 +102,6 @@ def test_kcomp_structure():
 
 def test_method_capability_flags():
     assert UpdateMethod.HMC.needs_gradient
-    assert not UpdateMethod.GIBBS.needs_likelihood
-    assert UpdateMethod.GIBBS.needs_full_conditional
-    assert UpdateMethod.SLICE.needs_likelihood
+    assert UpdateMethod.NUTS.needs_gradient
+    assert not UpdateMethod.GIBBS.needs_gradient
     assert not UpdateMethod.SLICE.needs_gradient

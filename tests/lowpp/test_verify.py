@@ -52,7 +52,9 @@ def test_generated_decls_all_verify():
                 e = detect_enumeration(cond, info.info(p).dist_name)
                 if e is not None:
                     verify_decl(gen_gibbs_enumeration(e, fd.lets).decl)
-        cont = info.continuous_params()
+        cont = tuple(
+            p for p in info.param_names() if not info.info(p).is_discrete
+        )
         if cont:
             blk = blocked_factors(fd, cont)
             try:

@@ -142,9 +142,10 @@ class TestStore:
         )
         assert os.path.dirname(path) == str(tmp_path)
         assert store.load(rid).request_id == rid
-        assert store.list_ids() == [rid]
+        assert os.listdir(str(tmp_path)) == [os.path.basename(path)]
         store.delete(rid)
-        assert store.list_ids() == []
+        assert os.listdir(str(tmp_path)) == []
+        assert store.load(rid) is None
 
     @pytest.mark.parametrize(
         "garble", ["garbage", "truncated", "not_ckpt", "older_format"]

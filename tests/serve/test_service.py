@@ -141,6 +141,65 @@ def test_target_rhat_converges_early(service, nn_payload):
     assert min(resp["draws"]["kept"]) < 4000
 
 
+def _target_rhat_payload(nn_payload, chains, target, **query):
+    payload = copy.deepcopy(nn_payload)
+    payload["query"].update(
+        samples=400, chains=chains, chunk_size=10, **query
+    )
+    payload["budget"] = {"target_rhat": target}
+    return payload
+
+
+def test_converged_stops_read_converged(service, nn_payload):
+    # Sequentially, the common prefix the monitor judged when it stopped
+    # the run is the prefix the verdict judges.
+    stops = 0
+    for schedule in ("Gibbs mu", "Slice mu"):
+        for seed in range(4):
+            payload = _target_rhat_payload(
+                nn_payload, 4, 1.01, schedule=schedule, seed=seed
+            )
+            resp = _handle(service, payload)
+            if resp["stop_reason"] == "converged":
+                stops += 1
+                assert resp["verdict"] == "converged", (schedule, seed)
+    assert stops >= 1
+
+
+def test_one_chain_takes_every_draw(service, nn_payload):
+    # One chain has no split R-hat to judge: target_rhat never stops it.
+    resp = _handle(service, _target_rhat_payload(nn_payload, 1, 1.05))
+    assert resp["stop_reason"] is None and resp["complete"]
+    assert resp["draws"]["kept"] == [400]
+    assert resp["verdict"] == "unknown"
+
+
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
+def test_monitor_equals_summary(service, nn_payload, executor):
+    payload = _target_rhat_payload(
+        nn_payload, 2, 1.01, schedule="MH mu", executor=executor
+    )
+    resp = _handle(service, payload)
+    worst = max(e["worst_rhat"] for e in resp["summary"].values())
+    assert resp["monitor"]["worst_rhat"] == worst
+
+
+def test_resumed_monitor_judges_the_checkpointed_draws(service, nn_payload):
+    # Sequentially chain 0 finishes before the draw budget stops chain
+    # 1, so the resumed leg posts no chunk for chain 0: the monitor
+    # counts the checkpointed draws, as the summary does.
+    payload = copy.deepcopy(nn_payload)
+    payload["request_id"] = "resumed-monitor"
+    payload["query"].update(samples=200, chunk_size=10)
+    payload["budget"] = {"max_draws": 30}
+    assert _handle(service, payload)["draws"]["kept"] == [200, 30]
+    payload["budget"] = {"target_rhat": 1.0}
+    resp = _handle(service, payload)
+    assert resp["resumed"]
+    worst = max(e["worst_rhat"] for e in resp["summary"].values())
+    assert resp["monitor"]["worst_rhat"] == worst
+
+
 def test_stuck_chains_keep_the_monitor_json_valid(service, nn_payload):
     # Step size 50 rejects every proposal, so each chain stays at its own
     # start: the split R-hat is infinite, which is no convergence and has

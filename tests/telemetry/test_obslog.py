@@ -96,7 +96,10 @@ def test_file_sink_appends_parseable_lines(tmp_path):
     with open(path) as f:
         recs = [json.loads(line) for line in f]
     assert len(recs) == 2
-    assert log.sink_path is None  # close() drops the sink
+    assert not log.enabled  # close() drops the sink
+    log.log("after.close")
+    with open(path) as f:
+        assert len(f.readlines()) == 2
 
 
 def test_capture_drain_adopt_round_trip():
@@ -170,7 +173,7 @@ def test_reset_after_fork_clears_inherited_state():
     log.reset_after_fork()
     assert not log.enabled
     assert log.recent() == []
-    assert log.sink_path is None
+    assert log._sink is None
 
 
 def test_module_level_helpers_drive_the_singleton(tmp_path):

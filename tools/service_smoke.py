@@ -12,8 +12,9 @@ behaviours the service exists for:
 3. Resuming the deadline-limited request by id: completes it and the
    finished draws match a never-interrupted reference bitwise.
 
-Plus warmup-through-deadline resume (4), schedule tuning (5), and the
-observability stack (6): the Prometheus exposition parses and counts
+Plus warmup-through-deadline resume (4), schedule tuning (5), an
+online R-hat target whose stop agrees with the verdict (6), and the
+observability stack (7): the Prometheus exposition parses and counts
 requests, the structured event log correlates one request id across
 parent and worker pids, and killed/failed requests dump
 flight-recorder post-mortem artifacts.
@@ -265,7 +266,33 @@ def main() -> int:
             "second request hit the verdict cache"
         )
 
-        # 6. Observability: the Prometheus exposition, the correlated
+        # 6. Online R-hat target: the monitor judges the stored draws
+        # with the summary's estimator, so sequentially a converged stop
+        # reads verdict converged and the two R-hats agree.
+        target = dict(payload, request_id="target-1")
+        target["query"] = dict(
+            payload["query"], samples=400, chunk_size=10,
+            executor="sequential",
+        )
+        target["budget"] = {"target_rhat": 1.01}
+        status, judged = call(port, "POST", "/v1/infer", target)
+        assert status == 200, judged
+        if judged["stop_reason"] == "converged":
+            assert judged["verdict"] == "converged", judged["verdict"]
+        summary_worst = [
+            e["worst_rhat"] for e in judged["summary"].values()
+            if "worst_rhat" in e
+        ]
+        assert judged["monitor"]["worst_rhat"] == (
+            None if None in summary_worst else max(summary_worst)
+        ), (judged["monitor"], judged["summary"])
+        print(
+            f"target_rhat: stop {judged['stop_reason']}, verdict "
+            f"{judged['verdict']}, kept {judged['draws']['kept']}, "
+            f"R-hat {judged['monitor']['worst_rhat']}"
+        )
+
+        # 7. Observability: the Prometheus exposition, the correlated
         # event log, and the flight recorder's post-mortem artifacts.
         flight = dict(payload, request_id="flight-1")
         flight["query"] = dict(
