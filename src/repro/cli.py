@@ -136,9 +136,7 @@ def _build(args) -> "tuple":
         from repro.tune import autotune
 
         sampler = autotune(
-            source, hypers, data, options=options, schedule=args.schedule,
-            executor=getattr(args, "executor", None),
-            n_workers=getattr(args, "workers", None),
+            source, hypers, data, options=options, schedule=args.schedule
         )
     else:
         sampler = compile_model(
@@ -184,6 +182,25 @@ def _write_pipeline_trace(path: str) -> None:
 def cmd_sample(args) -> int:
     if args.chains < 1:
         raise ReproError(f"--chains must be positive, got {args.chains}")
+    # Flags only one of the two paths reads would otherwise do nothing.
+    if args.chains == 1:
+        ignored = [
+            ("--stream", args.stream),
+            ("--monitor", args.monitor),
+            ("--early-stop-rhat", args.early_stop_rhat is not None),
+            ("--chunk-size", args.chunk_size is not None),
+            ("--workers", args.workers is not None),
+        ]
+        needs = "--chains > 1"
+    else:
+        ignored = [
+            ("--summary", args.summary),
+            ("--trace-plot", args.trace_plot is not None),
+        ]
+        needs = "--chains 1"
+    for flag, given in ignored:
+        if given:
+            raise ReproError(f"{flag} needs {needs}")
     if args.trace:
         from repro.telemetry.trace import enable_tracing
 
@@ -631,9 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tune",
             action="store_true",
-            help="autotune the schedule: trial-sweep tournament around the "
-            "heuristic (or --schedule), compile the measured winner; "
-            "verdicts are cached by model shape",
+            help="autotune the schedule: race the heuristic's (or "
+            "--schedule's) HMC/NUTS choice for each gradient block on trial "
+            "sweeps, compile the measured winner; verdicts are cached by "
+            "model shape",
         )
 
     ps = sub.add_parser("sample", help="compile and draw posterior samples")

@@ -172,8 +172,11 @@ def _cache_key(
     data_values: dict,
     options: CompileOptions,
     schedule: str | None,
+    hash_value=_hash_value,
+    prefix: bytes = b"",
 ) -> str:
     h = hashlib.sha256()
+    h.update(prefix)
     for part in (source, repr(schedule), repr(options)):
         h.update(part.encode())
         h.update(b"\x00")
@@ -182,7 +185,7 @@ def _cache_key(
         for name in sorted(values):
             h.update(name.encode())
             h.update(b"=")
-            _hash_value(h, values[name])
+            hash_value(h, values[name])
             h.update(b";")
     return h.hexdigest()
 
@@ -235,20 +238,10 @@ def shape_cache_key(
     data sizes, not the observed values, so all datasets sharing a
     shape signature reuse one verdict.
     """
-    options = options or CompileOptions()
-    h = hashlib.sha256()
-    h.update(b"shape\x00")
-    for part in (source, repr(schedule), repr(options)):
-        h.update(part.encode())
-        h.update(b"\x00")
-    for tag, values in (("hyper", hyper_values), ("data", data_values)):
-        h.update(tag.encode())
-        for name in sorted(values):
-            h.update(name.encode())
-            h.update(b"=")
-            _hash_shape(h, values[name])
-            h.update(b";")
-    return h.hexdigest()
+    return _cache_key(
+        source, hyper_values, data_values, options or CompileOptions(),
+        schedule, hash_value=_hash_shape, prefix=b"shape\x00",
+    )
 
 
 def _cache_get(key: str) -> _CacheEntry | None:
@@ -307,38 +300,12 @@ def compile_model(
                 proposals, t_start, cache_status="hit",
             )
 
-    # ---- Frontend -----------------------------------------------------
-    with trace.span("frontend.parse", cat="compile"):
-        model = parse_model(source)
-    missing = [h for h in model.hypers if h not in hyper_values]
-    if missing:
-        raise ReproError(f"missing hyper-parameter values: {missing}")
-    with trace.span("frontend.analyze", cat="compile"):
-        hyper_types = {k: type_of_value(v) for k, v in hyper_values.items()}
-        info = analyze_model(model, hyper_types)
+    model, info, fd, kernel = front_end(
+        source, hyper_values, data_values, options, schedule
+    )
     data_names = set(info.data_names())
-    missing_data = data_names - set(data_values)
-    if missing_data:
-        raise ReproError(f"missing data values: {sorted(missing_data)}")
-    with trace.span("density.extract", cat="compile"):
-        fd = lower_and_factorize(model)
-
     env = dict(hyper_values)
     env.update({k: v for k, v in data_values.items() if k in data_names})
-
-    # ---- Middle-end ----------------------------------------------------
-    with trace.span(
-        "kernel.select", cat="compile", user_schedule=schedule is not None
-    ):
-        if schedule is not None:
-            kernel = validate_schedule(
-                parse_schedule(schedule), fd, info,
-                categorical_rule=options.categorical_rule,
-            )
-        else:
-            kernel = heuristic_schedule(
-                fd, info, categorical_rule=options.categorical_rule
-            )
 
     decls: list[LowDecl] = []
     driver_specs: list[tuple] = []
@@ -444,6 +411,49 @@ def compile_model(
         entry, source, hyper_values, data_values, options, schedule,
         proposals, t_start, cache_status="miss",
     )
+
+
+def front_end(
+    source: str,
+    hyper_values: dict,
+    data_values: dict,
+    options: CompileOptions,
+    schedule: str | None,
+) -> tuple:
+    """The front end plus kernel selection: parse, type-check against
+    the runtime values, lower to the Density IL and factorize, then
+    validate the user schedule or run the heuristic.
+
+    Returns ``(model, info, fd, kernel)``.  :func:`compile_model` runs
+    it on every cache miss; the schedule autotuner runs it once for the
+    baseline kernel it races.
+    """
+    with trace.span("frontend.parse", cat="compile"):
+        model = parse_model(source)
+    missing = [h for h in model.hypers if h not in hyper_values]
+    if missing:
+        raise ReproError(f"missing hyper-parameter values: {missing}")
+    with trace.span("frontend.analyze", cat="compile"):
+        hyper_types = {k: type_of_value(v) for k, v in hyper_values.items()}
+        info = analyze_model(model, hyper_types)
+    missing_data = set(info.data_names()) - set(data_values)
+    if missing_data:
+        raise ReproError(f"missing data values: {sorted(missing_data)}")
+    with trace.span("density.extract", cat="compile"):
+        fd = lower_and_factorize(model)
+    with trace.span(
+        "kernel.select", cat="compile", user_schedule=schedule is not None
+    ):
+        if schedule is not None:
+            kernel = validate_schedule(
+                parse_schedule(schedule), fd, info,
+                categorical_rule=options.categorical_rule,
+            )
+        else:
+            kernel = heuristic_schedule(
+                fd, info, categorical_rule=options.categorical_rule
+            )
+    return model, info, fd, kernel
 
 
 def _assemble(

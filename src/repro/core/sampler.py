@@ -274,7 +274,7 @@ class CompiledSampler:
         """The decision ledger as a machine-readable list of entries."""
         return self.ledger.to_json() if self.ledger is not None else []
 
-    def tuned(self, **tune_kwargs) -> "CompiledSampler":
+    def tuned(self) -> "CompiledSampler":
         """A sampler recompiled with the autotuned schedule.
 
         Runs (or, on a shape-cache hit, replays) the trial-sweep
@@ -299,7 +299,6 @@ class CompiledSampler:
             options=spec.options,
             schedule=spec.schedule,
             proposals=spec.proposals,
-            **tune_kwargs,
         )
 
     # ------------------------------------------------------------------

@@ -182,7 +182,14 @@ def _multichain_ess(chains: np.ndarray) -> float:
 
 
 def ess_bulk(chains: np.ndarray) -> float:
-    """Bulk ESS: cross-chain ESS of the rank-normalized split chains."""
+    """Bulk ESS: cross-chain ESS of the rank-normalized split chains.
+
+    Chains in which no draw differs from the first never moved, so they
+    hold no information beyond their start: their bulk ESS is 0.
+    """
+    chains = np.asarray(chains, dtype=np.float64)
+    if np.all(chains == chains.flat[0]):
+        return 0.0
     return _multichain_ess(rank_normalize(split_chains(chains)))
 
 

@@ -211,7 +211,6 @@ class InferenceService:
                 req.model_source, hypers, data,
                 options=CompileOptions(target="cpu"),
                 schedule=req.schedule,
-                executor=req.executor,
             )
             tune_cache_hit = tune_stats.hits > tune_hits_before
         else:

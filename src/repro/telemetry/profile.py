@@ -49,13 +49,6 @@ class SweepProfile:
     statements: list[dict] = field(default_factory=list)
 
     @property
-    def seconds_per_sweep(self) -> float:
-        """Mean measured in-sweep seconds per sweep (tuner objective)."""
-        if self.n_sweeps <= 0:
-            return 0.0
-        return self.sweep_seconds / self.n_sweeps
-
-    @property
     def attributed_fraction(self) -> float:
         """Fraction of measured sweep wall-time attributed to named
         updates (the acceptance-criterion number)."""

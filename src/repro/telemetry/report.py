@@ -247,13 +247,13 @@ def _fmt_gain(gain) -> str:
 
 
 def _tournament_section(report: dict | None) -> str:
-    """The autotuner's trial-sweep tournament: every candidate with its
+    """The autotuner's trial-sweep race: every candidate with its
     measured score and verdict, plus the cache outcome."""
     if not report:
         return ""
     rows = []
     for c in report.get("candidates", []):
-        sps = c.get("s_per_sweep") or c.get("probe_s_per_sweep")
+        sps = c.get("s_per_sweep")
         ess = c.get("ess_per_s")
         style = " style='font-weight:bold'" if c["verdict"] == "winner" else ""
         rows.append(
@@ -266,13 +266,15 @@ def _tournament_section(report: dict | None) -> str:
         )
     winner = report.get("winner") or {}
     cache = report.get("cache", "miss")
-    cache_note = (
-        "cached verdict reused &mdash; trial sweeps skipped"
-        if cache == "hit"
-        else f"searched in {report.get('tuning_seconds', 0.0):.2f} s "
-        f"({report.get('probe_sweeps')} probe + "
-        f"{report.get('trial_sweeps')} trial sweeps per candidate)"
-    )
+    if cache == "hit":
+        cache_note = "cached verdict reused &mdash; trial sweeps skipped"
+    elif not report.get("trial_sweeps"):
+        cache_note = "no gradient update to race &mdash; no trial sweeps"
+    else:
+        cache_note = (
+            f"raced in {report.get('tuning_seconds', 0.0):.2f} s "
+            f"({report['trial_sweeps']} trial sweeps per candidate)"
+        )
     return (
         "<h2>Schedule tournament</h2>"
         f"<p>winner: <code>{_esc(winner.get('schedule', ''))}</code>"

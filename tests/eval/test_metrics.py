@@ -170,6 +170,16 @@ def test_ess_bulk_iid_near_total():
     assert ess_bulk(chains) > 0.5 * chains.size
 
 
+@pytest.mark.parametrize(
+    "chains", [np.full((1, 16), 3.0), np.full((2, 40), 1.0)],
+    ids=["one-chain", "two-chains"],
+)
+def test_ess_bulk_is_zero_for_draws_that_never_move(chains):
+    # A stuck chain carries no information beyond its start; reading it
+    # as m*n independent draws would crown it in an ESS/s race.
+    assert ess_bulk(chains) == 0.0
+
+
 def test_ess_bulk_correlated_chains_much_smaller():
     rng = np.random.default_rng(16)
     m, n = 4, 2000

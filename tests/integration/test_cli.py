@@ -116,6 +116,29 @@ def test_sample_chains_with_monitor_and_stats(gmm_files, capsys):
     assert captured.err.count("[monitor]") == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--stream"],
+        ["--monitor"],
+        ["--early-stop-rhat", "1.1"],
+        ["--chunk-size", "5"],
+        ["--workers", "2"],
+        ["--chains", "2", "--summary"],
+        ["--chains", "2", "--trace-plot", "mu"],
+    ],
+    ids=lambda flags: flags[-1] if flags[-1].startswith("--") else flags[-2],
+)
+def test_sample_rejects_flags_its_path_ignores(gmm_files, capsys, flags):
+    # The one-chain path reads none of the multi-chain flags, and the
+    # multi-chain path none of the one-chain ones.
+    model, inputs, _ = gmm_files
+    code = main(["sample", model, inputs, "--samples", "5", *flags])
+    assert code == 2
+    flag = [f for f in flags if f.startswith("--") and f != "--chains"][0]
+    assert f"error: {flag} needs --chains" in capsys.readouterr().err
+
+
 def test_sample_rejects_unknown_executor(gmm_files, capsys):
     model, inputs, _ = gmm_files
     with pytest.raises(SystemExit) as exc:

@@ -31,6 +31,7 @@ import argparse
 import http.client
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -242,8 +243,9 @@ def main() -> int:
         )
 
         # 5. Per-request schedule tuning: two identical tuned requests;
-        # the first runs the trial-sweep tournament, the second must be
-        # answered from the shape-keyed verdict cache.
+        # the first runs the race (its Gibbs schedule has no gradient
+        # block, so no trial), the second must be answered from the
+        # shape-keyed verdict cache.
         tuned = dict(payload, request_id="tuned-1")
         tuned["query"] = dict(
             payload["query"], samples=40, executor="sequential", tune=True,
@@ -402,8 +404,10 @@ def main() -> int:
                 server.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 server.kill()
+                server.wait()
         else:
             sys.stdout.write(server.stdout.read() or "")
+        shutil.rmtree(ckpt_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":
