@@ -1,9 +1,11 @@
 """Telemetry overhead: the disabled hooks, and the price of each kind on.
 
 The telemetry subsystem's contract is that *disabled* instrumentation is
-free: the sweep loop pays one ``is None`` check per update when stats
-are off and one ``enabled`` check when tracing is off.  This benchmark
-measures that contract on the Figure-1 GMM:
+free: the sweep loop pays one ``is None`` check per sweep when stats are
+off (every update's tally counts on every step either way, so there is
+nothing per update to switch off) and one ``enabled`` check when
+tracing is off.  This benchmark measures that contract, and the price of
+each kind switched on, on the Figure-1 GMM:
 
 - the disabled hooks, measured directly: each disabled entry point --
   ``span``, ``add_complete`` and ``instant`` with tracing off,
@@ -15,12 +17,18 @@ measures that contract on the Figure-1 GMM:
   disabled hooks can cost a run; the acceptance assertion holds it to
   <= 3% of the off run's wall time.  (Comparing an off run with a
   second off run instead measures only run-to-run noise.)
-- ``off`` vs ``collect_stats=True`` gives the price of recording every
-  update's per-sweep record into the preallocated buffers;
-- ``off`` vs tracing-enabled gives the price of the runtime spans
-  (which are bulk-emitted after the loop from timing arrays);
-- ``off`` vs ``profile=True`` gives the price of the sweep profiler
-  (per-update timer brackets plus wrapped per-decl callables);
+- ``collect_stats=True``, measured directly the same way: a recorded
+  sweep's bookkeeping -- every update's ``begin_sweep``, ``end_sweep``
+  and stat-buffer write -- is replayed on the drivers a run left
+  behind, and its per-sweep time times the sweeps of a run, as a share
+  of the off run, is held to <= 5%;
+- ``profile=True``, likewise: the time one profiler wrapper adds to the
+  call it wraps (each update's ``step`` and each compiled declaration
+  call get the same wrapper) times the wrapped calls a profiled run
+  makes, as a share of the off run, is held to <= 5%;
+- ``off`` vs ``collect_stats=True``, tracing-enabled and
+  ``profile=True`` runs, end to end, are reported too, ungated: five
+  ~0.15 s runs spread about as wide as any bound a gate could set;
 - the serve-path observability stack, measured directly like the
   disabled hooks: the streamed run that counts the hook calls, with the
   structured event log armed (JSON-lines sink, debug level), also keeps
@@ -58,6 +66,8 @@ from repro.telemetry.obslog import (
     get_event_log,
     log_event,
 )
+from repro.telemetry.profile import SweepProfiler
+from repro.telemetry.stats import allocate_stat_buffers
 from repro.telemetry.trace import (
     disable_tracing,
     enable_tracing,
@@ -75,6 +85,8 @@ HOOK_LOOPS = 100_000
 OBS_REPLAYS = 200
 MAX_OFF_OVERHEAD_PCT = 3.0
 MAX_OBS_OVERHEAD_PCT = 2.0
+MAX_STATS_OVERHEAD_PCT = 5.0
+MAX_PROFILE_OVERHEAD_PCT = 5.0
 RESULTS_JSON = (
     pathlib.Path(__file__).resolve().parents[1] / "BENCH_telemetry_overhead.json"
 )
@@ -212,6 +224,46 @@ def _hook_calls(sampler, sink):
     return calls, hooks["log_event"].calls, chunks
 
 
+# -- stats and profiling, switched on ----------------------------------
+
+
+def _bookkeeping_ns(sampler):
+    """Per-sweep ns of a recorded sweep's bookkeeping -- every update's
+    ``begin_sweep``, ``end_sweep`` and stat-buffer write -- replayed on
+    the drivers as the last run left them."""
+    updates = sampler.updates
+    bufs = allocate_stat_buffers(updates, 1)
+
+    def sweep():
+        for upd in updates:
+            upd.begin_sweep()
+        for upd, buf in zip(updates, bufs):
+            buf.write(0, upd.end_sweep())
+
+    return _per_call_ns(sweep, HOOK_LOOPS // 10)
+
+
+def _wrapper_ns(sampler):
+    """The ns one profiler wrapper adds to the call it wraps."""
+
+    def call(env, ws, rng):
+        return None
+
+    wrapped = SweepProfiler(sampler).wrap("bench", call)
+    return max(
+        0.0,
+        _per_call_ns(lambda: wrapped(None, None, None))
+        - _per_call_ns(lambda: call(None, None, None)),
+    )
+
+
+def _wrapped_calls(sampler):
+    """Calls one profiled run makes through the profiler's wrappers:
+    every update's ``step`` and every compiled declaration call."""
+    prof = sampler.sample(num_samples=NUM_SAMPLES, seed=3, profile=True).profile
+    return sum(r["calls"] for r in prof.updates + prof.decls)
+
+
 # -- the armed serve-path observability ---------------------------------
 
 
@@ -270,6 +322,9 @@ def test_telemetry_off_overhead_within_budget(report):
         obs_ns = _armed_obs_costs(logged, chunks, obs_sink)
     obs_calls = {"log_event": len(logged), "record_chunk": len(chunks)}
     per_call_ns = _disabled_hook_costs()
+    bookkeeping_ns = _bookkeeping_ns(sampler)
+    wrapper_ns = _wrapper_ns(sampler)
+    wrapped_calls = _wrapped_calls(sampler)
 
     off_s = _median(base)
     stats_s, trace_s = _median(stats_on), _median(traced)
@@ -279,6 +334,12 @@ def test_telemetry_off_overhead_within_budget(report):
         name: per_call_ns[name] * calls[name] * 1e-9 for name in per_call_ns
     }
     hooks_pct = sum(hook_s.values()) / off_s * 100.0
+    # The two gated prices of stats and profiling: per-call time times
+    # calls per run, as a share of the off run.
+    stats_cost_s = bookkeeping_ns * NUM_SAMPLES * 1e-9
+    stats_pct = stats_cost_s / off_s * 100.0
+    profile_cost_s = wrapper_ns * wrapped_calls * 1e-9
+    profile_pct = profile_cost_s / off_s * 100.0
     stats_overhead_pct = (stats_s - off_s) / off_s * 100.0
     trace_overhead_pct = (trace_s - off_s) / off_s * 100.0
     profile_overhead_pct = (profile_s - off_s) / off_s * 100.0
@@ -299,11 +360,15 @@ def test_telemetry_off_overhead_within_budget(report):
                 ["telemetry off", f"{off_s:.3f}", "baseline"],
                 ["disabled hooks (measured per call)",
                  f"{sum(hook_s.values()):.6f}", f"{hooks_pct:+.3f}%"],
-                ["collect_stats=True", f"{stats_s:.3f}",
+                ["stats bookkeeping (measured per call)",
+                 f"{stats_cost_s:.6f}", f"{stats_pct:+.3f}%"],
+                ["collect_stats=True (end to end)", f"{stats_s:.3f}",
                  f"{stats_overhead_pct:+.2f}%"],
                 ["tracing enabled", f"{trace_s:.3f}",
                  f"{trace_overhead_pct:+.2f}%"],
-                ["profile=True", f"{profile_s:.3f}",
+                ["profiler wrappers (measured per call)",
+                 f"{profile_cost_s:.6f}", f"{profile_pct:+.3f}%"],
+                ["profile=True (end to end)", f"{profile_s:.3f}",
                  f"{profile_overhead_pct:+.2f}%"],
                 ["streamed chunks (serve path)", f"{stream_s:.3f}",
                  "stream baseline"],
@@ -321,6 +386,16 @@ def test_telemetry_off_overhead_within_budget(report):
                 [name, f"{per_call_ns[name]:.0f}", str(calls[name]),
                  f"{hook_s[name] * 1e6:.1f}"]
                 for name in per_call_ns
+            ],
+        )
+        + "\n\n"
+        + format_table(
+            ["stats / profiling call", "ns/call", "calls/run", "us/run"],
+            [
+                ["recorded-sweep bookkeeping", f"{bookkeeping_ns:.0f}",
+                 str(NUM_SAMPLES), f"{stats_cost_s * 1e6:.1f}"],
+                ["profiler wrapper", f"{wrapper_ns:.0f}",
+                 str(wrapped_calls), f"{profile_cost_s * 1e6:.1f}"],
             ],
         )
         + "\n\n"
@@ -355,6 +430,19 @@ def test_telemetry_off_overhead_within_budget(report):
                     for name in per_call_ns
                 },
                 "disabled_hooks_pct": hooks_pct,
+                # The gated stats and profiling numbers: per-call time
+                # times calls per run, as a share of the off run.
+                "stats_bookkeeping": {
+                    "ns_per_call": bookkeeping_ns,
+                    "calls_per_run": NUM_SAMPLES,
+                },
+                "stats_bookkeeping_pct": stats_pct,
+                "profile_wrapper": {
+                    "ns_per_call": wrapper_ns,
+                    "calls_per_run": wrapped_calls,
+                },
+                "profile_wrappers_pct": profile_pct,
+                # End to end, reported only.
                 "collect_stats_overhead_pct": stats_overhead_pct,
                 "tracing_overhead_pct": trace_overhead_pct,
                 "profile_overhead_pct": profile_overhead_pct,
@@ -377,6 +465,8 @@ def test_telemetry_off_overhead_within_budget(report):
                 "obslog_flight_overhead_pct": obslog_overhead_pct,
                 "max_off_overhead_pct": MAX_OFF_OVERHEAD_PCT,
                 "max_obs_overhead_pct": MAX_OBS_OVERHEAD_PCT,
+                "max_stats_overhead_pct": MAX_STATS_OVERHEAD_PCT,
+                "max_profile_overhead_pct": MAX_PROFILE_OVERHEAD_PCT,
             },
             indent=2,
         )
@@ -386,12 +476,19 @@ def test_telemetry_off_overhead_within_budget(report):
         f"disabled telemetry hooks cost {hooks_pct:.3f}% of a run "
         f"(budget {MAX_OFF_OVERHEAD_PCT}%)"
     )
-    # Recording itself must stay cheap relative to the generated-code
-    # density evaluations that dominate a sweep.
-    assert stats_overhead_pct <= 25.0
-    # The profiler's on-path brackets are two perf_counter reads per
-    # update plus one per wrapped decl call -- cheap, but not free.
-    assert profile_overhead_pct <= 50.0
+    # Recording reads each update's tally twice per sweep and writes one
+    # buffer row: cheap next to the generated-code density evaluations
+    # that dominate a sweep.
+    assert stats_pct <= MAX_STATS_OVERHEAD_PCT, (
+        f"recorded-sweep bookkeeping costs {stats_pct:.3f}% of a run "
+        f"(budget {MAX_STATS_OVERHEAD_PCT}%)"
+    )
+    # The profiler's wrappers are two perf_counter reads per update step
+    # and per compiled call -- cheap, but not free.
+    assert profile_pct <= MAX_PROFILE_OVERHEAD_PCT, (
+        f"profiler wrappers cost {profile_pct:.3f}% of a run "
+        f"(budget {MAX_PROFILE_OVERHEAD_PCT}%)"
+    )
     # The armed event log writes a handful of JSON lines per *chunk*
     # (not per sweep) and the flight recorder appends one dict to a
     # bounded deque per chunk -- amortised across chunk_size sweeps

@@ -279,8 +279,48 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _stream_line(chunk) -> str:
+    """One plain ``[stream]`` line per chunk, for a redirected stderr."""
+    phase = chunk.phase
+    if phase is not None and phase["phase"] == "warmup":
+        line = (
+            f"[stream] chain {chunk.chain}: warmup "
+            f"{phase['sweep']}/{phase['warmup']}"
+        )
+        if phase["step_size"] is not None:
+            line += f" | step {phase['step_size']:.3g}"
+        return line
+    line = f"[stream] chain {chunk.chain}: draws {chunk.start}..{chunk.stop}"
+    bits = []
+    for label, entry in sorted((chunk.info or {}).items()):
+        rate = entry.get("accept_rate")
+        if rate is not None and rate == rate:
+            bits.append(f"{label} accept {rate:.2f}")
+        div = entry.get("divergent", 0)
+        if div:
+            bits.append(f"{label} divergent {div}")
+        nan = entry.get("nan_rejects", 0)
+        if nan:
+            bits.append(f"{label} nan-rejects {nan}")
+    if bits:
+        line += " | " + ", ".join(bits)
+    return line
+
+
 def _sample_chains(args, sampler, warmup: int = 0) -> int:
     collect = tuple(args.collect.split(",")) if args.collect else None
+    # On a TTY, --stream keeps one status line up; every whole line on
+    # stderr (the monitor's, the divergence WARNING) then goes through
+    # it so that none lands glued onto the status line.
+    progress = None
+    if args.stream and sys.stderr.isatty():
+        from repro.telemetry.progress import StreamProgress
+
+        progress = StreamProgress(args.chains, args.samples)
+        emit = progress.emit
+    else:
+        def emit(line):
+            print(line, file=sys.stderr)
     monitor = None
     if args.monitor or args.early_stop_rhat is not None:
         from repro.telemetry.monitors import ConvergenceMonitor
@@ -288,12 +328,7 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
         monitor = ConvergenceMonitor(
             param_names=collect or sampler.param_names,
             n_chains=args.chains,
-            divergence_warn=args.divergence_warn,
-            emit=(
-                (lambda line: print(line, file=sys.stderr))
-                if args.monitor
-                else None
-            ),
+            emit=emit if args.monitor else None,
         )
     want_profile = args.profile or bool(args.report)
     common = dict(
@@ -322,49 +357,20 @@ def _sample_chains(args, sampler, warmup: int = 0) -> int:
             f"(target accept {args.target_accept:.2f})",
             file=sys.stderr,
         )
-    if args.stream:
+    if args.stream or args.monitor:
         stream = sampler.stream_chains(**common)
-        if sys.stderr.isatty():
-            from repro.telemetry.progress import StreamProgress
-
-            progress = StreamProgress(
-                args.chains, args.samples,
-                divergence_warn=args.divergence_warn,
-            )
-            for chunk in stream:
-                progress.update(chunk, stream.monitor)
+        warned = False
+        for chunk in stream:
+            if progress is not None:
+                progress.update(chunk, stream)
+            elif args.stream:
+                print(_stream_line(chunk), file=sys.stderr)
+            # The run's one live WARNING, when its rate first crosses.
+            if stream.divergence.exceeded and not warned:
+                warned = True
+                emit(f"WARNING: {stream.divergence.warning}")
+        if progress is not None:
             progress.close()
-        else:
-            for chunk in stream:
-                phase = chunk.phase
-                if phase is not None and phase["phase"] == "warmup":
-                    line = (
-                        f"[stream] chain {chunk.chain}: warmup "
-                        f"{phase['sweep']}/{phase['warmup']}"
-                    )
-                    if phase["step_size"] is not None:
-                        line += f" | step {phase['step_size']:.3g}"
-                    print(line, file=sys.stderr)
-                    continue
-                line = (
-                    f"[stream] chain {chunk.chain}: "
-                    f"draws {chunk.start}..{chunk.stop}"
-                )
-                if chunk.info:
-                    bits = []
-                    for label, entry in sorted(chunk.info.items()):
-                        rate = entry.get("accept_rate")
-                        if rate is not None and rate == rate:
-                            bits.append(f"{label} accept {rate:.2f}")
-                        div = entry.get("divergent", 0)
-                        if div:
-                            bits.append(f"{label} divergent {div}")
-                        nan = entry.get("nan_rejects", 0)
-                        if nan:
-                            bits.append(f"{label} nan-rejects {nan}")
-                    if bits:
-                        line += " | " + ", ".join(bits)
-                print(line, file=sys.stderr)
         results = stream.results
     else:
         results = sampler.sample_chains(**common)
@@ -466,7 +472,6 @@ def cmd_serve(args) -> int:
     service = InferenceService(
         checkpoint_dir=args.checkpoint_dir,
         artifact_dir=args.artifact_dir,
-        divergence_warn=args.divergence_warn,
     )
     server = ReproServer(
         host=args.host,
@@ -749,14 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="append structured JSON-lines events (all levels) to FILE",
     )
-    ps.add_argument(
-        "--divergence-warn",
-        type=float,
-        default=0.05,
-        metavar="RATE",
-        help="divergence-rate threshold for the single WARNING line "
-        "(default 0.05)",
-    )
     ps.set_defaults(fn=cmd_sample)
 
     pi = sub.add_parser("inspect", help="show the compiled sampler's plan")
@@ -798,11 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level", default="info",
         choices=["debug", "info", "warning", "error"],
         help="minimum level kept in the event log (default info)",
-    )
-    pv.add_argument(
-        "--divergence-warn", type=float, default=0.05, metavar="RATE",
-        help="per-request divergence-rate threshold: one WARNING event "
-        "and a flight-recorder dump when crossed (default 0.05)",
     )
     pv.set_defaults(fn=cmd_serve)
 

@@ -8,22 +8,21 @@ Rejectable updates (HMC, NUTS, MH) maintain the paper's dual-state
 invariant: the proposal is computed on a copy and only written back on
 acceptance, so subsequent updates always read the most current state.
 
-Telemetry: every driver declares a typed per-sweep stat schema
-(:meth:`UpdateDriver.stat_fields`) and, between ``begin_sweep`` /
-``end_sweep`` calls, accumulates one record per sweep -- acceptance and
-log-alpha, NaN-rejected proposals, leapfrog counts, divergence flags and
-energies, slice bracket expansions/shrinks.  Recording is off unless the
-sampler turns it on (``collect_stats=True``), so the plain sampling path
-pays only a ``self._sweep is None`` check per element.  NaN rejections
-are the exception: they are counted unconditionally (into
-``UpdateStats.nan_rejected``) because a silently NaN-rejecting chain is
-a correctness hazard the sampler warns about even with stats off.
+Telemetry: every driver keeps one running ``tally`` that each ``step``
+adds to -- proposals, acceptances, NaN-rejected proposals, and its
+kind's own counters (slice bracket expansions and shrinks, MH's finite
+log-alpha sum and count).  A recorded sweep's typed stat record
+(:meth:`UpdateDriver.stat_fields`) is the tally's change between
+``begin_sweep`` and ``end_sweep``; ``SampleResult.acceptance`` and the
+NaN-rejection warning are its change over a ``sample`` call.  The
+library routines always get the driver's ``info`` dict; they only write
+counts into it and never touch the RNG.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -51,16 +50,6 @@ from repro.runtime.vectors import RaggedArray
 from repro.telemetry.stats import BASE_FIELDS, StatField
 
 
-@dataclass
-class UpdateStats:
-    proposed: int = 0
-    accepted: int = 0
-    nan_rejected: int = 0
-
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.proposed, self.accepted, self.nan_rejected)
-
-
 class UpdateDriver:
     """Base class; subclasses implement ``step``."""
 
@@ -69,14 +58,19 @@ class UpdateDriver:
 
     #: Per-sweep stat columns beyond :data:`BASE_FIELDS`.
     EXTRA_FIELDS: tuple[StatField, ...] = ()
+    #: Tally counters beyond proposals, acceptances and NaN rejections.
+    EXTRA_COUNTS: tuple[str, ...] = ()
 
     #: True for the batched element drivers, which advance every lane of
     #: the target in a handful of vectorised calls per sweep.
     is_batched: bool = False
 
     def __init__(self) -> None:
-        self.stats = UpdateStats()
-        self._sweep: dict | None = None
+        #: The update's one running count, added to on every step.
+        self.tally = dict.fromkeys(
+            ("proposed", "accepted", "nan") + self.EXTRA_COUNTS, 0
+        )
+        self._mark: dict | None = None
         #: Compiled-call attributes the profiler may wrap, mapped to the
         #: generated declaration each one executes (set by the compiler
         #: when wiring the driver): ``{"_ll_fn": "hmc_blk_ll", ...}``.
@@ -92,30 +86,33 @@ class UpdateDriver:
         """The typed schema of this update's per-sweep stat record."""
         return BASE_FIELDS + self.EXTRA_FIELDS
 
-    # -- per-sweep recording ----------------------------------------------
+    # -- the tally ---------------------------------------------------------
+
+    def since(self, mark: dict) -> dict:
+        """The tally's change since ``mark``, a copy taken earlier."""
+        return {k: v - mark[k] for k, v in self.tally.items()}
 
     def begin_sweep(self) -> None:
-        """Arm per-sweep recording for the next ``step`` call."""
-        self._sweep = {f.name: 0 for f in self.EXTRA_FIELDS}
-        self._sweep.update(proposed=0, accepted=0, nan=0)
+        """Mark the tally before a recorded sweep."""
+        self._mark = self.tally.copy()
 
     def end_sweep(self) -> dict:
-        """The sweep's stat record; disarms recording."""
-        s, self._sweep = self._sweep, None
-        proposed = s.pop("proposed")
-        accepted = s.pop("accepted")
-        nan = s.pop("nan")
+        """The stat record of the sweep since :meth:`begin_sweep`."""
+        counts = self.since(self._mark)
+        proposed = counts.pop("proposed")
+        accepted = counts.pop("accepted")
         record = {
             "accept_rate": accepted / proposed if proposed else float("nan"),
             "n_proposed": proposed,
-            "nan_rejects": nan,
+            "nan_rejects": counts.pop("nan"),
         }
-        record.update(self._finish_sweep(s, proposed))
+        record.update(self._finish_sweep(counts))
         return record
 
-    def _finish_sweep(self, s: dict, proposed: int) -> dict:
-        """Subclass hook: turn accumulated extras into record fields."""
-        return s
+    def _finish_sweep(self, counts: dict) -> dict:
+        """Subclass hook: the record fields beyond :data:`BASE_FIELDS`,
+        from the sweep's change in the extra counters."""
+        return counts
 
     # -- profiling ---------------------------------------------------------
 
@@ -168,11 +165,9 @@ class GibbsDriver(UpdateDriver):
 
     def step(self, env, ws, rng) -> None:
         self._fn(env, ws, rng)
-        self.stats.proposed += 1
-        self.stats.accepted += 1
-        if self._sweep is not None:
-            self._sweep["proposed"] += 1
-            self._sweep["accepted"] += 1
+        tally = self.tally
+        tally["proposed"] += 1
+        tally["accepted"] += 1
 
 
 class GradBlockDriver(UpdateDriver):
@@ -260,10 +255,7 @@ class GradBlockDriver(UpdateDriver):
         # _ll_grad_fn; rebuild it so it sees the (un)wrapped functions.
         self._flat = None
 
-    def begin_sweep(self) -> None:
-        self._sweep = {"proposed": 0, "accepted": 0, "nan": 0}
-
-    def _finish_sweep(self, s: dict, proposed: int) -> dict:
+    def _finish_sweep(self, counts: dict) -> dict:
         # The whole-block update runs once per sweep: the last info
         # record *is* the sweep record.
         info = self._info
@@ -272,11 +264,14 @@ class GradBlockDriver(UpdateDriver):
             "divergent": int(info.get("divergent", False)),
             "n_leapfrog": info.get("n_leapfrog", 0),
         }
+        out["accept_stat"] = float(info.get("accept_stat", 0.0))
         if self._method == "nuts":
             out["tree_depth"] = info.get("tree_depth", 0)
+            # The statistic the tally added, as is: the running sum
+            # absorbs one far below its own rounding.
+            out["accept_rate"] = out["accept_stat"]
         else:
             out["log_alpha"] = info.get("log_alpha", float("nan"))
-        out["accept_stat"] = float(info.get("accept_stat", 0.0))
         eps = float(info.get("step_size", self.step_size))
         out["step_size"] = eps
         adapter = self._adapter
@@ -363,24 +358,19 @@ class GradBlockDriver(UpdateDriver):
         return self._flat
 
     def step(self, env, ws, rng) -> None:
-        self.stats.proposed += 1
         info = self._info
         info.clear()
-        accepted, accept_stat = self._step_flat(env, ws, rng, info)
+        accepted = self._step_flat(env, ws, rng, info)
+        tally = self.tally
+        tally["proposed"] += 1
+        tally["accepted"] += accepted
         if info.get("nan"):
-            self.stats.nan_rejected += 1
-        if accepted:
-            self.stats.accepted += 1
-        if self._sweep is not None:
-            self._sweep["proposed"] += 1
-            self._sweep["accepted"] += int(accepted)
-            self._sweep["nan"] += int(bool(info.get("nan")))
-            if self._method == "nuts":
-                # NUTS has no accept/reject; report the dual-averaging
-                # accept statistic as the sweep's acceptance rate.
-                self._sweep["accepted"] = accept_stat
+            tally["nan"] += 1
 
-    def _step_flat(self, env, ws, rng, info) -> tuple[bool, float]:
+    def _step_flat(self, env, ws, rng, info):
+        """One transition; returns what it adds to the accepted count:
+        1 or 0 for HMC, and for NUTS, which has no accept/reject step,
+        the dual-averaging accept statistic."""
         flat = self._flat_density()
         layout = self._pack_plan
         self._flat_call = (ws, rng)
@@ -407,23 +397,23 @@ class GradBlockDriver(UpdateDriver):
             eps = adapter.step_size
             metric = adapter.metric
         info["step_size"] = eps
-        accept_stat = 0.0
         if self._method == "nuts":
             z_next, _, accept_stat = nuts_step_flat(
                 rng, flat, z, eps, info=info, metric=metric
             )
-            accepted = not np.array_equal(z_next, z)
+            accepted = float(accept_stat)
         else:
-            z_next, accepted = hmc_step_flat(
+            z_next, moved = hmc_step_flat(
                 rng, flat, z, eps, self.n_steps, info=info,
                 work=self._flat_work, metric=metric,
             )
+            accepted = int(moved)
         if adapter is not None and not adapter.finalized:
             adapter.observe(info.get("accept_stat", 0.0), z_next)
         x_next = flat.constrain_point(z_next)
         for t in self.targets:
             env[t] = _committed(x_next[t])
-        return accepted, accept_stat
+        return accepted
 
 
 def _committed(view):
@@ -503,6 +493,15 @@ class ElementDriver(UpdateDriver):
             self._elements_key = key
         return self._elements
 
+    def _count(self, n: int = 1) -> None:
+        """Tally ``n`` slice updates, which always accept, and the
+        bracket counters (``EXTRA_COUNTS``) the routine left in ``info``."""
+        tally, info = self.tally, self._info
+        tally["proposed"] += n
+        tally["accepted"] += n
+        for key in self.EXTRA_COUNTS:
+            tally[key] += info[key]
+
     def _bind_idx(self, env, idx) -> None:
         for var, i in zip(self.cond.idx_vars, idx):
             env[var] = int(i)
@@ -525,21 +524,14 @@ class SliceDriver(ElementDriver):
         StatField("expansions", "i8", "bracket step-out widenings this sweep"),
         StatField("shrinks", "i8", "rejected candidates that shrank a bracket"),
     )
+    EXTRA_COUNTS = ("expansions", "shrinks")
 
     def __init__(self, name, cond, shape, ll_fn, width: float = 1.0):
         super().__init__(name, cond, shape, ll_fn)
         self.width = width
 
-    def _record_element(self) -> None:
-        s = self._sweep
-        s["proposed"] += 1
-        s["accepted"] += 1
-        s["expansions"] += self._info.get("expansions", 0)
-        s["shrinks"] += self._info.get("shrinks", 0)
-
     def step(self, env, ws, rng) -> None:
-        recording = self._sweep is not None
-        info = self._info if recording else None
+        info = self._info
         for idx in self._element_list():
             self._bind_idx(env, idx)
             current = np.array(
@@ -551,8 +543,7 @@ class SliceDriver(ElementDriver):
                     rng.generator, logp, float(current), self.width, info=info
                 )
                 _set_element(env, self.cond.target, idx, new)
-                if recording:
-                    self._record_element()
+                self._count()
             else:
                 value = current.copy()
                 for c in range(value.shape[0]):
@@ -565,14 +556,9 @@ class SliceDriver(ElementDriver):
                     value[c] = slice_coordinate(
                         rng.generator, logp, float(value[c]), self.width, info=info
                     )
-                    if recording:
-                        self._record_element()
-                        # The per-coordinate records were already
-                        # counted; the element itself is not re-counted
-                        # below.
+                    # Each coordinate is one slice update.
+                    self._count()
                 _set_element(env, self.cond.target, idx, value)
-            self.stats.proposed += 1
-            self.stats.accepted += 1
 
 
 class ESliceDriver(ElementDriver):
@@ -582,6 +568,7 @@ class ESliceDriver(ElementDriver):
     EXTRA_FIELDS = (
         StatField("shrinks", "i8", "rejected ellipse angles this sweep"),
     )
+    EXTRA_COUNTS = ("shrinks",)
 
     def _prior_args_constant(self) -> bool:
         """Prior parameters free of element indices evaluate to the same
@@ -593,8 +580,7 @@ class ESliceDriver(ElementDriver):
         )
 
     def step(self, env, ws, rng) -> None:
-        recording = self._sweep is not None
-        info = self._info if recording else None
+        info = self._info
         prior = lookup(self.cond.prior.dist)
         const_args = (
             [eval_expr(a, env) for a in self.cond.prior.args]
@@ -618,13 +604,7 @@ class ESliceDriver(ElementDriver):
             loglik = self._logp_fn(env, ws, rng, idx)
             x1 = elliptical_slice(rng.generator, loglik, x0, mean, nu, info=info)
             _set_element(env, self.cond.target, idx, x1)
-            self.stats.proposed += 1
-            self.stats.accepted += 1
-            if recording:
-                s = self._sweep
-                s["proposed"] += 1
-                s["accepted"] += 1
-                s["shrinks"] += info.get("shrinks", 0)
+            self._count()
 
 
 class MHDriver(ElementDriver):
@@ -633,26 +613,20 @@ class MHDriver(ElementDriver):
     EXTRA_FIELDS = (
         StatField("mean_log_alpha", "f8", "mean finite log-alpha this sweep"),
     )
+    #: The sum and the count of the finite log acceptance ratios.
+    EXTRA_COUNTS = ("log_alpha_sum", "n_finite")
 
     def __init__(self, name, cond, shape, ll_fn, scale: float = 0.5, proposal=None):
         super().__init__(name, cond, shape, ll_fn)
         self.scale = scale
         self.proposal = proposal
 
-    def begin_sweep(self) -> None:
-        super().begin_sweep()
-        self._sweep["mean_log_alpha"] = 0.0
-        self._sweep["_n_finite"] = 0
-
-    def _finish_sweep(self, s: dict, proposed: int) -> dict:
-        n = s.pop("_n_finite")
-        total = s.pop("mean_log_alpha")
+    def _finish_sweep(self, counts: dict) -> dict:
+        n, total = counts["n_finite"], counts["log_alpha_sum"]
         return {"mean_log_alpha": total / n if n else float("nan")}
 
     def step(self, env, ws, rng) -> None:
-        # The info record is always requested: NaN-rejected proposals
-        # must be counted (and warned about) even with stats off.
-        info = self._info
+        info, tally = self._info, self.tally
         for idx in self._element_list():
             self._bind_idx(env, idx)
             x0 = _get_element(env, self.cond.target, idx)
@@ -667,19 +641,14 @@ class MHDriver(ElementDriver):
                     rng.generator, logp, x0, self.scale, info=info
                 )
             _set_element(env, self.cond.target, idx, x1)
-            self.stats.proposed += 1
-            self.stats.accepted += int(accepted)
+            tally["proposed"] += 1
+            tally["accepted"] += int(accepted)
             if info["nan"]:
-                self.stats.nan_rejected += 1
-            if self._sweep is not None:
-                s = self._sweep
-                s["proposed"] += 1
-                s["accepted"] += int(accepted)
-                s["nan"] += int(info["nan"])
-                la = info["log_alpha"]
-                if np.isfinite(la):
-                    s["mean_log_alpha"] += la
-                    s["_n_finite"] += 1
+                tally["nan"] += 1
+            la = info["log_alpha"]
+            if math.isfinite(la):
+                tally["log_alpha_sum"] += la
+                tally["n_finite"] += 1
 
 
 # ----------------------------------------------------------------------
@@ -757,20 +726,14 @@ class VectorizedMHDriver(_LaneMixin, MHDriver):
             info=info,
         )
         self._write_lanes(env, x1)
-        n_accepted = int(np.count_nonzero(accepted))
-        n_nan = int(np.count_nonzero(info["nan"]))
-        self.stats.proposed += n
-        self.stats.accepted += n_accepted
-        self.stats.nan_rejected += n_nan
-        if self._sweep is not None:
-            s = self._sweep
-            s["proposed"] += n
-            s["accepted"] += n_accepted
-            s["nan"] += n_nan
-            la = info["log_alpha"]
-            finite = np.isfinite(la)
-            s["mean_log_alpha"] += float(la[finite].sum())
-            s["_n_finite"] += int(np.count_nonzero(finite))
+        tally = self.tally
+        tally["proposed"] += n
+        tally["accepted"] += int(np.count_nonzero(accepted))
+        tally["nan"] += int(np.count_nonzero(info["nan"]))
+        la = info["log_alpha"]
+        finite = np.isfinite(la)
+        tally["log_alpha_sum"] += float(la[finite].sum())
+        tally["n_finite"] += int(np.count_nonzero(finite))
 
 
 class VectorizedSliceDriver(_LaneMixin, SliceDriver):
@@ -789,21 +752,12 @@ class VectorizedSliceDriver(_LaneMixin, SliceDriver):
         n = x0.shape[0]
         if n == 0:
             return
-        recording = self._sweep is not None
-        info = self._info if recording else None
         x1 = slice_sweep(
             rng.generator, self._lane_ll_fn(env, ws, rng), x0, self.width,
-            info=info,
+            info=self._info,
         )
         self._write_lanes(env, x1)
-        self.stats.proposed += n
-        self.stats.accepted += n
-        if recording:
-            s = self._sweep
-            s["proposed"] += n
-            s["accepted"] += n
-            s["expansions"] += info["expansions"]
-            s["shrinks"] += info["shrinks"]
+        self._count(n)
 
 
 class VectorizedESliceDriver(_LaneMixin, ESliceDriver):
@@ -831,17 +785,9 @@ class VectorizedESliceDriver(_LaneMixin, ESliceDriver):
         args = [eval_expr(a, env) for a in self.cond.prior.args]
         mean = np.asarray(args[0], dtype=np.float64)
         nu = np.asarray(prior.sample(rng, *args, size=n), dtype=np.float64)
-        recording = self._sweep is not None
-        info = self._info if recording else None
         x1 = elliptical_slice_sweep(
             rng.generator, self._lane_ll_fn(env, ws, rng), x0, mean, nu,
-            info=info,
+            info=self._info,
         )
         self._write_lanes(env, x1)
-        self.stats.proposed += n
-        self.stats.accepted += n
-        if recording:
-            s = self._sweep
-            s["proposed"] += n
-            s["accepted"] += n
-            s["shrinks"] += info["shrinks"]
+        self._count(n)

@@ -20,11 +20,12 @@ the latter as a first-class runtime concern, built from three pieces:
   workers only ever attach and close.
 - A **streaming iterator** (:class:`ChainStream`): chains post
   :class:`ChainChunk` ranges as they are written (nutpie's
-  ``do_sample``/``finalize`` shape), the parent feeds a
-  :class:`~repro.telemetry.monitors.ConvergenceMonitor` incrementally,
-  broadcasts a stop flag once R-hat converges (``early_stop_rhat``),
-  and finalizes partial results on ``KeyboardInterrupt`` instead of
-  losing the run.
+  ``do_sample``/``finalize`` shape), the parent counts the run's
+  divergences once (:class:`~repro.telemetry.monitors.DivergenceTally`),
+  feeds a :class:`~repro.telemetry.monitors.ConvergenceMonitor`
+  incrementally, broadcasts a stop flag once R-hat converges
+  (``early_stop_rhat``), and finalizes partial results on
+  ``KeyboardInterrupt`` instead of losing the run.
 
 Determinism is preserved throughout: chain streams come from
 :meth:`repro.runtime.rng.Rng.fork` (deterministic in the parent seed,
@@ -49,6 +50,7 @@ import numpy as np
 
 from repro.errors import RuntimeFailure
 from repro.runtime.rng import Rng
+from repro.telemetry.monitors import DEFAULT_DIVERGENCE_WARN, DivergenceTally
 from repro.telemetry.obslog import WorkerCapture, current_rid, get_event_log
 
 EXECUTORS = ("sequential", "processes")
@@ -611,6 +613,11 @@ class ChainStream:
     :class:`~repro.core.sampler.SampleResult` list (in chain order)
     once the iterator is exhausted.
 
+    ``divergence`` is the run's one divergence count: the stream feeds
+    it every chunk digest, logs a ``divergence.threshold`` warning event
+    when its rate first crosses the threshold, and hands it to the
+    monitor; the progress line and the request's record read it too.
+
     The stream drives the unified monitor protocol documented on
     :class:`~repro.telemetry.monitors.ConvergenceMonitor` --
     ``observe_chunk`` per chunk (and once for a resumed chain's prior
@@ -642,6 +649,9 @@ class ChainStream:
         self.executor = executor
         self._workers = n_workers
         self.monitor = monitor
+        self.divergence = DivergenceTally()
+        if monitor is not None:
+            monitor.divergence = self.divergence
         self._early_stop = early_stop_rhat
         self._chunk_size = chunk_size
         self._resume = list(resume) if resume is not None else [None] * n_chains
@@ -706,6 +716,12 @@ class ChainStream:
                 self.monitor.release()
 
     def _ingest(self, chunk: ChainChunk) -> None:
+        if self.divergence.observe(chunk.info):
+            self._obslog.log(
+                "divergence.threshold", level="warning", rid=self._rid,
+                rate=round(self.divergence.rate, 4),
+                threshold=DEFAULT_DIVERGENCE_WARN,
+            )
         if self.monitor is not None:
             self.monitor.observe_chunk(chunk)
             if (

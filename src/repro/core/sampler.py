@@ -385,45 +385,13 @@ class CompiledSampler:
         collect = tuple(collect) if collect is not None else self.param_names
         return self._allocate_draws(collect, num_samples)
 
-    def _step_recorded(self, state: dict, rng: Rng, bufs, sweep: int) -> dict:
-        """One sweep with per-update stat recording into ``bufs``."""
-        env = self._sweep_env(state)
-        for upd, buf in zip(self.updates, bufs):
-            upd.begin_sweep()
-            upd.step(env, self.workspaces, rng)
-            buf.write(sweep, upd.end_sweep())
-        for p in self.param_names:
-            state[p] = env[p]
-        return state
-
-    def _step_profiled(self, state: dict, rng: Rng, profiler, bufs, sweep) -> dict:
-        """One sweep with per-update wall-time attribution (and,
-        optionally, stat recording).  The timers bracket each driver's
-        ``step`` and never touch the RNG, so the draws are identical to
-        an unprofiled run."""
-        env = self._sweep_env(state)
-        for i, upd in enumerate(self.updates):
-            if bufs is not None:
-                upd.begin_sweep()
-            t0 = time.perf_counter()
-            upd.step(env, self.workspaces, rng)
-            dt = time.perf_counter() - t0
-            cell = profiler.update_cells[i]
-            cell[0] += 1
-            cell[1] += dt
-            if bufs is not None:
-                bufs[i].write(sweep, upd.end_sweep())
-        for p in self.param_names:
-            state[p] = env[p]
-        return state
-
-    def _warn_nan_rejections(self, before: list[tuple[int, int, int]]) -> None:
+    def _warn_nan_rejections(self, counts: list[dict]) -> None:
         """One-line warning when NaN-rejected proposals exceed the
-        threshold rate for any update during this ``sample`` call."""
+        threshold rate for any update, given each update's tally change
+        over one ``sample`` call."""
         offenders = []
-        for upd, (p0, _, n0) in zip(self.updates, before):
-            proposed = upd.stats.proposed - p0
-            nan = upd.stats.nan_rejected - n0
+        for upd, c in zip(self.updates, counts):
+            proposed, nan = c["proposed"], c["nan"]
             if proposed and nan / proposed > NAN_REJECT_WARN_RATE:
                 offenders.append(f"{upd.label} ({nan}/{proposed} proposals)")
         if offenders:
@@ -598,7 +566,7 @@ class CompiledSampler:
     ):
         tracer = get_tracer()
         tracing = tracer.enabled
-        stats_before = [u.stats.snapshot() for u in self.updates]
+        marks = [upd.tally.copy() for upd in self.updates]
 
         t_init = time.perf_counter()
         state = init if init is not None else self.init_state(rng)
@@ -685,12 +653,14 @@ class CompiledSampler:
                         for _, a in adapters:
                             a.finalize()
                     t0 = time.perf_counter()
-                    if profiler is not None:
-                        self._step_profiled(state, rng, profiler, stat_bufs, sweep)
-                    elif stat_bufs is None:
+                    if stat_bufs is None:
                         self.step(state, rng)
                     else:
-                        self._step_recorded(state, rng, stat_bufs, sweep)
+                        for upd in self.updates:
+                            upd.begin_sweep()
+                        self.step(state, rng)
+                        for upd, buf in zip(self.updates, stat_bufs):
+                            buf.write(sweep, upd.end_sweep())
                     t1 = time.perf_counter()
                     sweep_times[sweep] = t1 - t0
                     if sweep_starts is not None:
@@ -757,17 +727,17 @@ class CompiledSampler:
                 "sample", "runtime", start, wall,
                 num_samples=num_samples, burn_in=burn_in, thin=thin,
             )
-        self._warn_nan_rejections(stats_before)
-        # Acceptance is reported over *this call's* proposals, so the
-        # numbers agree across executors (cumulative counters would mix
-        # chains on the sequential path).
-        acceptance = {}
-        for upd, (p0, a0, _) in zip(self.updates, stats_before):
-            proposed = upd.stats.proposed - p0
-            accepted = upd.stats.accepted - a0
-            acceptance[upd.label] = (
-                accepted / proposed if proposed else float("nan")
+        # Acceptance and NaN rejections are read over *this call's*
+        # proposals, so the numbers agree across executors (the running
+        # tallies mix chains on the sequential path).
+        counts = [upd.since(m) for upd, m in zip(self.updates, marks)]
+        self._warn_nan_rejections(counts)
+        acceptance = {
+            upd.label: (
+                c["accepted"] / c["proposed"] if c["proposed"] else float("nan")
             )
+            for upd, c in zip(self.updates, counts)
+        }
         # Partial runs (early stop / interrupt) truncate storage and
         # telemetry to what actually happened; full runs keep the exact
         # preallocated objects (array() stays a view of them).

@@ -41,12 +41,7 @@ from repro.serve.checkpoint import (
 )
 from repro.serve.protocol import InferRequest, ProtocolError, coerce_values
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.monitors import (
-    DEFAULT_DIVERGENCE_WARN,
-    DEFAULT_RHAT,
-    component_rhat,
-    components,
-)
+from repro.telemetry.monitors import DEFAULT_RHAT, component_rhat, components
 from repro.telemetry.obslog import log_event, request_context
 from repro.telemetry.requests import ServiceMetrics
 
@@ -139,7 +134,6 @@ class InferenceService:
         checkpoint_dir: str | None = None,
         artifact_dir: str | None = None,
         metrics: ServiceMetrics | None = None,
-        divergence_warn: float = DEFAULT_DIVERGENCE_WARN,
     ):
         self.checkpoints = (
             CheckpointStore(checkpoint_dir) if checkpoint_dir else None
@@ -150,7 +144,6 @@ class InferenceService:
 
             os.makedirs(artifact_dir, exist_ok=True)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.divergence_warn = divergence_warn
         #: Request records by rid, for the status routes: every one in
         #: flight plus the ``_flights_cap`` most recently finished, in
         #: the order they finished.
@@ -255,6 +248,7 @@ class InferenceService:
             warmup=req.warmup,
             target_accept=req.target_accept,
         )
+        flight.divergence = stream.divergence
         kept = (
             [r.start_kept for r in resume] if resume is not None
             else [0] * req.chains
@@ -267,12 +261,7 @@ class InferenceService:
                 stream.monitor.worst_rhat()
                 if stream.monitor is not None else None
             )
-            if flight.record_chunk(chunk, worst, kept, req.samples):
-                log_event(
-                    "divergence.threshold", level="warning", rid=rid,
-                    rate=round(flight.divergence.rate, 4),
-                    threshold=flight.divergence.warn_rate,
-                )
+            flight.record_chunk(chunk, worst, kept, req.samples)
             if stop_reason is not None:
                 continue
             if deadline is not None and time.monotonic() >= deadline:
@@ -375,7 +364,7 @@ class InferenceService:
 
         if stop_reason == "deadline":
             self._dump_flight(flight, "deadline")
-        elif flight.divergence.exceeded:
+        elif stream.divergence.exceeded:
             self._dump_flight(flight, "divergence")
 
         sweeps = sum(r.sweeps_run for r in results if r is not None)
@@ -395,7 +384,7 @@ class InferenceService:
             tune_cache_hit=tune_cache_hit,
             total_s=queue_wait + total_s,
             divergence_rate=(
-                flight.divergence.rate if flight.divergence.sweeps else None
+                stream.divergence.rate if stream.divergence.sweeps else None
             ),
         )
         log_event(
@@ -415,7 +404,7 @@ class InferenceService:
     def open_record(self, rid: str | None) -> FlightRecorder:
         """Open one request's record in state ``queued``; a named one is
         kept for the status and flight-recorder routes."""
-        flight = FlightRecorder(rid, divergence_warn=self.divergence_warn)
+        flight = FlightRecorder(rid)
         if rid is not None:
             with self._flights_lock:
                 self._flights[rid] = flight

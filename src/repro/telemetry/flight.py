@@ -15,7 +15,9 @@ Values are stored as measured (an infinite R-hat stays ``inf``); the
 encoder in :mod:`repro.telemetry.jsonenc` sends non-finite floats as
 ``null``.  One lock guards each record: the sampling thread writes
 under it, and readers on other threads copy :meth:`status` and
-:meth:`snapshot` under it.
+:meth:`snapshot` under it.  The snapshot's divergence block reads the
+followed stream's tally, which the sampling thread counts into outside
+that lock, so a snapshot taken mid-chunk may mix two chunks' counts.
 
 A recorder is dumped to a post-mortem JSON artifact
 (``<request>.flight.json``, next to the request's HTML report) when
@@ -43,22 +45,18 @@ class FlightRecorder:
     """One request's record: its status and a bounded ring of per-chunk
     stat digests.
 
-    :meth:`record_chunk` also feeds the request's
-    :class:`~repro.telemetry.monitors.DivergenceTally` (``divergence``)
-    and returns ``True`` exactly once, when the rate first crosses
-    ``divergence_warn``, so the caller can emit its single per-request
-    WARNING.  :meth:`close` ends the record with its outcome.
+    The divergence accounting of :meth:`snapshot` reads ``divergence``,
+    the :class:`~repro.telemetry.monitors.DivergenceTally` of the run
+    the record follows (``ChainStream.divergence``, set by the service
+    when sampling starts).  :meth:`close` ends the record with its
+    outcome.
     """
 
-    def __init__(
-        self,
-        request_id: str | None,
-        capacity: int = DEFAULT_CAPACITY,
-        divergence_warn: float = DEFAULT_DIVERGENCE_WARN,
-    ):
+    def __init__(self, request_id: str | None, capacity: int = DEFAULT_CAPACITY):
         self.request_id = request_id
         self.capacity = capacity
-        self.divergence = DivergenceTally(divergence_warn)
+        #: The followed run's divergence count; ``None`` before sampling.
+        self.divergence: DivergenceTally | None = None
         self.created = time.time()
         self.state = "queued"
         self._entries: deque[dict] = deque(maxlen=capacity)
@@ -74,11 +72,9 @@ class FlightRecorder:
 
     def record_chunk(
         self, chunk, worst_rhat=None, kept=None, requested=None
-    ) -> bool:
+    ) -> None:
         """Ingest one streamed chunk, with the kept draws per chain and
-        the requested total so far; returns ``True`` iff this chunk
-        pushed the divergence rate over the threshold for the first
-        time."""
+        the requested total so far."""
         phase = chunk.phase or {}
         entry = {
             "ts": round(time.time(), 6),
@@ -122,7 +118,6 @@ class FlightRecorder:
             if chunk.phase is not None:
                 self._status["warmup_sweep"] = phase["sweep"]
                 self._status["warmup_total"] = phase["warmup"]
-            return self.divergence.observe(chunk.info)
 
     def close(self, state: str, **outcome) -> None:
         """End the record: ``state`` is ``"done"`` or ``"error"``, and
@@ -146,6 +141,8 @@ class FlightRecorder:
 
     def snapshot(self) -> dict:
         """The ring and the divergence accounting."""
+        # Before sampling starts there is nothing counted yet.
+        tally = self.divergence or DivergenceTally()
         with self._lock:
             return {
                 "request_id": self.request_id,
@@ -153,11 +150,11 @@ class FlightRecorder:
                 "capacity": self.capacity,
                 "entries": list(self._entries),
                 "divergence": {
-                    "rate": self.divergence.rate,
-                    "divergent_sweeps": self.divergence.divergent,
-                    "sweeps": self.divergence.sweeps,
-                    "threshold": self.divergence.warn_rate,
-                    "exceeded": self.divergence.exceeded,
+                    "rate": tally.rate,
+                    "divergent_sweeps": tally.divergent,
+                    "sweeps": tally.sweeps,
+                    "threshold": DEFAULT_DIVERGENCE_WARN,
+                    "exceeded": tally.exceeded,
                 },
             }
 

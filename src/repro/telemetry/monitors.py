@@ -1,8 +1,9 @@
 """Convergence monitoring of a live multi-chain run.
 
 - :class:`DivergenceTally` -- the one divergence / NaN-reject count of
-  a run, fed from chunk digests; the flight recorder, the ``--stream``
-  progress line and :class:`ConvergenceMonitor` each hold one.
+  a run: :class:`~repro.core.chains.ChainStream` owns it and feeds it
+  every chunk digest, and the monitor, the ``--stream`` progress line
+  and the request's flight record read it.
 - :func:`components` / :func:`component_rhat` -- the judged scalar
   components of a parameter and their rank-normalised split R-hat
   (Vehtari et al. 2021): the one estimator of the service summary, its
@@ -25,7 +26,7 @@ MAX_COMPONENTS = 4
 #: Common draws per chain before R-hat is considered meaningful.
 MIN_RHAT_DRAWS = 8
 
-#: Default divergence-rate warning threshold.
+#: The divergence rate above which a run warns, once.
 DEFAULT_DIVERGENCE_WARN = 0.05
 
 #: Sweeps observed before a divergence rate is considered meaningful.
@@ -64,18 +65,18 @@ def component_rhat(series: np.ndarray) -> float | None:
 class DivergenceTally:
     """Divergent sweeps of a run, counted from chunk digests.
 
-    Feed every :func:`~repro.telemetry.stats.chunk_stat_info` digest to
-    :meth:`observe`.  Only updates whose digest carries ``divergent``
-    (the gradient updates, HMC and NUTS) can diverge, so only their
-    sweeps enter the denominator: ``rate`` is divergent sweeps of
-    gradient updates over sweeps of gradient updates, across updates
-    and chains.  A Gibbs update composed with ``HMC mu`` therefore does
-    not dilute the rate.  NaN-rejected proposals are counted for every
-    update.
+    The run's :class:`~repro.core.chains.ChainStream` feeds every
+    :func:`~repro.telemetry.stats.chunk_stat_info` digest to
+    :meth:`observe`; everything else only reads.  Only updates whose
+    digest carries ``divergent`` (the gradient updates, HMC and NUTS)
+    can diverge, so only their sweeps enter the denominator: ``rate`` is
+    divergent sweeps of gradient updates over sweeps of gradient
+    updates, across updates and chains.  A Gibbs update composed with
+    ``HMC mu`` therefore does not dilute the rate.  NaN-rejected
+    proposals are counted for every update.
     """
 
-    def __init__(self, warn_rate: float = DEFAULT_DIVERGENCE_WARN):
-        self.warn_rate = warn_rate
+    def __init__(self):
         self.divergent = 0
         self.sweeps = 0
         self.nan_rejects = 0
@@ -86,8 +87,9 @@ class DivergenceTally:
 
     def observe(self, info) -> bool:
         """Add one chunk digest (``None`` when stats are off); ``True``
-        exactly once, when the rate first exceeds ``warn_rate`` with at
-        least :data:`MIN_SWEEPS` sweeps observed."""
+        exactly once, when the rate first exceeds
+        :data:`DEFAULT_DIVERGENCE_WARN` with at least :data:`MIN_SWEEPS`
+        sweeps observed."""
         for label, digest in (info or {}).items():
             counts = self.per_update.setdefault(label, [0, 0, 0])
             nan = digest.get("nan_rejects", 0)
@@ -111,10 +113,10 @@ class DivergenceTally:
     @property
     def warning(self) -> str | None:
         """The warning text while the rate is over the threshold."""
-        if self.sweeps >= MIN_SWEEPS and self.rate > self.warn_rate:
+        if self.sweeps >= MIN_SWEEPS and self.rate > DEFAULT_DIVERGENCE_WARN:
             return (
                 f"divergence rate {self.rate:.1%} exceeds "
-                f"{self.warn_rate:.0%} -- decrease the step size"
+                f"{DEFAULT_DIVERGENCE_WARN:.0%} -- decrease the step size"
             )
         return None
 
@@ -138,11 +140,11 @@ class DivergenceTally:
 class ConvergenceMonitor:
     """Cross-chain convergence of a live multi-chain run.
 
-    Two jobs: the run's :class:`DivergenceTally`, and deciding when to
-    judge the draws the run has stored.  Every R-hat and ESS it reports
-    is :func:`component_rhat` or bulk ESS over the chains' common prefix
-    (the first ``min(kept)`` draws of every chain), read from their draw
-    storage; ragged parameters are not judged.
+    It decides when to judge the draws the run has stored.  Every R-hat
+    and ESS it reports is :func:`component_rhat` or bulk ESS over the
+    chains' common prefix (the first ``min(kept)`` draws of every
+    chain), read from their draw storage; ragged parameters are not
+    judged.
 
     Every executor of :func:`repro.core.chains.stream_chains` feeds it
     alike: :meth:`observe_chunk` per chunk, :meth:`chain_done` per
@@ -152,19 +154,16 @@ class ConvergenceMonitor:
     :meth:`chain_done` judges the final draws; other reads return the
     cached values.  After that (or :meth:`release`) the monitor holds
     no draw storage, which on the processes executor is a view of a
-    shared segment that dies with the run's results.
+    shared segment that dies with the run's results.  The stream also
+    hands it the run's :class:`DivergenceTally`, which :meth:`warnings`
+    and :meth:`report` read.
     """
 
-    def __init__(
-        self,
-        param_names: tuple[str, ...],
-        n_chains: int,
-        divergence_warn: float = DEFAULT_DIVERGENCE_WARN,
-        emit=None,
-    ):
+    def __init__(self, param_names: tuple[str, ...], n_chains: int, emit=None):
         self.param_names = tuple(param_names)
         self.n_chains = n_chains
-        self.divergence = DivergenceTally(divergence_warn)
+        #: The run's divergence count, set by the stream it follows.
+        self.divergence: DivergenceTally | None = None
         self.emit = emit  # callable(str) for incremental progress lines
         self._chains_done = 0
         #: Each chain's draw storage (``None`` once released), kept draws.
@@ -180,10 +179,7 @@ class ConvergenceMonitor:
 
     def observe_chunk(self, chunk) -> None:
         """Note that ``chunk.chain`` keeps ``chunk.stop`` draws in
-        ``chunk.samples`` (nothing is read) and tally the chunk's stat
-        digest (a WARNING line when the divergence rate first crosses)."""
-        if self.divergence.observe(chunk.info) and self.emit is not None:
-            self.emit(f"WARNING: {self.divergence.warning}")
+        ``chunk.samples``; nothing is read."""
         self._storage[chunk.chain] = chunk.samples
         self._kept[chunk.chain] = chunk.stop
 
@@ -263,7 +259,7 @@ class ConvergenceMonitor:
                 f"split R-hat {worst:.3f} exceeds {threshold} -- "
                 "chains have not converged"
             )
-        if self.divergence.warning:
+        if self.divergence is not None and self.divergence.warning:
             out.append(self.divergence.warning)
         return out
 
@@ -290,7 +286,8 @@ class ConvergenceMonitor:
             ess_s = f"{ess:8.0f}" if math.isfinite(ess) else "     n/a"
             flag = "  <-- " if r > threshold else ""
             lines.append(f"  {key:20s} split R-hat {rhat_s}  ESS {ess_s}{flag}")
-        lines.extend(self.divergence.lines())
+        if self.divergence is not None:
+            lines.extend(self.divergence.lines())
         warns = self.warnings(threshold)
         if warns:
             lines.extend(f"  WARNING: {w}" for w in warns)

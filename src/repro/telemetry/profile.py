@@ -6,21 +6,21 @@ kernel, per generated declaration the drivers call, and -- through the
 provenance records threaded down from the frontend -- per model
 statement the user actually wrote.
 
-Two layers of near-zero-cost timers:
+Two layers of near-zero-cost timers, both installed by
+:meth:`SweepProfiler.instrument` before the sweep loop and removed by
+:meth:`SweepProfiler.restore` after it:
 
-- the sampler's profiled sweep loop brackets each driver's ``step``
-  call with ``perf_counter`` pairs (one list-cell accumulate per
-  update per sweep);
-- each driver's bound compiled functions are swapped for thin timing
-  wrappers (:meth:`UpdateDriver.instrument`), attributing time to the
+- each driver's ``step`` is swapped for a timing wrapper (one
+  ``perf_counter`` pair and one list-cell accumulate per update per
+  sweep);
+- each driver's bound compiled functions are swapped for the same kind
+  of wrapper (:meth:`UpdateDriver.instrument`), attributing time to the
   generated declaration actually executing.
 
-The off path is untouched: profiling adds one branch to ``sample``'s
-loop selection, exactly like stats collection, so the ≤3% off-path
-overhead contract of the telemetry layer holds (enforced by
-``benchmarks/bench_telemetry_overhead.py``).  Wrappers only read the
-clock -- never the RNG -- so draws are bitwise identical with
-profiling on or off.
+The sweep loop itself has no profiling branch: an unprofiled run calls
+the drivers' own ``step`` methods.  Wrappers only read the clock --
+never the RNG -- so draws are bitwise identical with profiling on or
+off.
 
 Op counts reuse the backend's :func:`op_count_code` expressions
 (runtime trip counts included), giving ops/s per declaration where the
@@ -118,13 +118,28 @@ class SweepProfile:
         return "\n".join(lines)
 
 
+def _timed(fn, cell: list):
+    """``fn`` behind a wrapper that adds one call and its wall time to
+    ``cell`` (``[calls, seconds]``)."""
+
+    def timed(*args):
+        t0 = perf_counter()
+        out = fn(*args)
+        dt = perf_counter() - t0
+        cell[0] += 1
+        cell[1] += dt
+        return out
+
+    return timed
+
+
 class SweepProfiler:
     """Live timing state for one profiled ``sample`` call.
 
     The sampler creates one, calls :meth:`instrument` before the sweep
-    loop and :meth:`restore` after, and accumulates per-update times
-    into :attr:`update_cells` from its profiled loop.  Compiled-call
-    wrappers installed by the drivers accumulate into per-decl cells
+    loop and :meth:`restore` after.  Each update's wrapped ``step``
+    accumulates into its :attr:`update_cells` entry, and the
+    compiled-call wrappers installed by the drivers into per-decl cells
     keyed by declaration name.
     """
 
@@ -154,26 +169,23 @@ class SweepProfiler:
         cell = self._decl_cells.setdefault(decl_name, [0, 0.0])
         if self._wrapping_for is not None:
             self._decl_owner.setdefault(decl_name, self._wrapping_for)
-
-        def timed(*args):
-            t0 = perf_counter()
-            out = fn(*args)
-            dt = perf_counter() - t0
-            cell[0] += 1
-            cell[1] += dt
-            return out
-
-        return timed
+        return _timed(fn, cell)
 
     def instrument(self) -> None:
-        for label, upd in zip(self.update_labels, self._sampler.updates):
+        """Wrap every update's ``step`` and compiled calls."""
+        for label, upd, cell in zip(
+            self.update_labels, self._sampler.updates, self.update_cells
+        ):
             self._wrapping_for = label
             upd.instrument(self)
+            upd.step = _timed(upd.step, cell)
         self._wrapping_for = None
 
     def restore(self) -> None:
+        """Put every update's own ``step`` and compiled calls back."""
         for upd in self._sampler.updates:
             upd.restore()
+            vars(upd).pop("step", None)
 
     # -- op counts ---------------------------------------------------------
 

@@ -167,9 +167,9 @@ def chunk_stat_info(
     This is the ``info`` payload that rides on every streamed chunk
     (``ChainChunk.info``): acceptance over the chunk's sweeps plus
     divergence / NaN-reject counts, so streaming consumers (the
-    ``--stream`` progress display, the inference service, and the
-    :class:`~repro.telemetry.monitors.DivergenceTally` each holds) can
-    report sampler health live instead of only at the end of the run.
+    ``--stream`` progress display, the inference service, and the run's
+    :class:`~repro.telemetry.monitors.DivergenceTally`) can report
+    sampler health live instead of only at the end of the run.
     """
     out: dict[str, dict[str, float]] = {}
     for buf in buffers:

@@ -333,7 +333,10 @@ def test_mh_accept_decisions_match_scalar():
     assert not only_update(scalar).is_batched
 
     noise = np.random.default_rng(99).normal(size=(5, n))
+    ub, us = only_update(batched), only_update(scalar)
     for u in (0.15, 0.5, 0.95):
+        # Counts compare per uniform level, from a mark of each tally.
+        mark_b, mark_s = ub.tally.copy(), us.tally.copy()
         mu0 = np.linspace(-2.0, 2.0, n)
         state_b = {"mu": mu0.copy()}
         state_s = {"mu": mu0.copy()}
@@ -344,12 +347,9 @@ def test_mh_accept_decisions_match_scalar():
                 state_b["mu"], state_s["mu"], rtol=1e-12, atol=1e-12,
                 err_msg=f"sweep {sweep}, u={u}",
             )
-        ub, us = only_update(batched), only_update(scalar)
-        assert ub.stats.proposed == us.stats.proposed
-        assert ub.stats.accepted == us.stats.accepted
-        # Reset between uniform levels so counts stay comparable.
-        ub.stats.accepted = ub.stats.proposed = 0
-        us.stats.accepted = us.stats.proposed = 0
+        counts_b, counts_s = ub.since(mark_b), us.since(mark_s)
+        assert counts_b["proposed"] == counts_s["proposed"] == 5 * n
+        assert counts_b["accepted"] == counts_s["accepted"]
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -62,7 +64,8 @@ def test_sample_trace_writes_chrome_json(gmm_files, capsys):
     model, inputs, tmp = gmm_files
     # Unique hyper value -> a guaranteed compile-cache miss, so every
     # compiler stage actually runs (a hit would skip codegen spans).
-    vals = json.loads(open(inputs).read())
+    with open(inputs) as f:
+        vals = json.load(f)
     vals["Sigma_0"] = [[17.125, 0.0], [0.0, 17.125]]
     fresh = tmp / "inputs_fresh.json"
     fresh.write_text(json.dumps(vals))
@@ -114,6 +117,45 @@ def test_sample_chains_with_monitor_and_stats(gmm_files, capsys):
     assert labels and len(labels) == len(set(labels))
     # Incremental progress lines stream to stderr as chains finish.
     assert captured.err.count("[monitor]") == 2
+
+
+class _Terminal(io.StringIO):
+    """Captured text that reports itself as a terminal."""
+
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("tty", [True, False], ids=["tty", "redirected"])
+def test_stream_and_monitor_warn_once_on_whole_lines(tmp_path, monkeypatch, tty):
+    # Step size 50 makes every HMC sweep diverge.  The status line, the
+    # monitor and the run's divergence WARNING share stderr: the WARNING
+    # prints once, and on a terminal every whole line starts at column
+    # 0 instead of being glued onto the status line.
+    model = tmp_path / "nn.augur"
+    model.write_text(models.NORMAL_NORMAL)
+    inputs = tmp_path / "nn.json"
+    y = np.random.default_rng(0).normal(2.0, 1.0, size=20)
+    inputs.write_text(json.dumps(
+        {"N": 20, "mu_0": 0.0, "v_0": 25.0, "v": 1.0, "y": y.tolist()}
+    ))
+    err = _Terminal() if tty else io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main([
+        "sample", str(model), str(inputs), "--samples", "30",
+        "--chains", "2", "--executor", "sequential", "--chunk-size", "10",
+        "--schedule", "HMC[steps=3, step_size=50.0] mu",
+        "--stream", "--monitor",
+    ])
+    assert code == 0
+    text = err.getvalue()
+    assert text.count("WARNING: divergence rate") == 1
+    # What a terminal shows of each line: the text after its last
+    # carriage return.
+    shown = [line.rsplit("\r", 1)[-1] for line in text.split("\n")]
+    for marker in ("[monitor]", "WARNING:"):
+        lines = [line for line in shown if marker in line]
+        assert lines and all(line.startswith(marker) for line in lines)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from repro.serve.session import (
     summarize_chains,
 )
 from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.monitors import DivergenceTally
 from repro.telemetry.progress import StreamProgress
 from tests.serve.conftest import (
     DONE_KEYS,
@@ -309,9 +310,34 @@ class StatusSpy(FlightRecorder):
         self.statuses = []
 
     def record_chunk(self, *args, **kwargs):
-        fired = super().record_chunk(*args, **kwargs)
+        super().record_chunk(*args, **kwargs)
         self.statuses.append(self.status())
-        return fired
+
+
+@pytest.mark.parametrize("target_rhat", [None, 1.01])
+def test_one_divergence_tally_per_request(
+    service, nn_payload, monkeypatch, target_rhat
+):
+    # Each chunk digest is counted once, into the stream's tally, whether
+    # or not the request also runs a convergence monitor.
+    observed = []
+    observe = DivergenceTally.observe
+
+    def spy(self, info):
+        observed.append(self)
+        return observe(self, info)
+
+    monkeypatch.setattr(DivergenceTally, "observe", spy)
+    payload = copy.deepcopy(nn_payload)
+    payload["query"].update(
+        schedule="NUTS mu", samples=40, chunk_size=10, executor="sequential"
+    )
+    if target_rhat is not None:
+        payload["budget"] = {"target_rhat": target_rhat}
+    resp = _handle(service, payload)
+    assert resp["draws"]["kept"] == [40, 40]
+    assert len(observed) == 8  # 2 chains x 4 chunks
+    assert len({id(t) for t in observed}) == 1
 
 
 def test_record_carries_chunk_info(service, nn_payload):
@@ -350,7 +376,7 @@ def test_warmup_phase_reaches_every_consumer(service, nn_payload):
     chunks = []
     for c in stream:
         chunks.append(c)
-        progress.update(c)
+        progress.update(c, stream)
     # (a) zero-width warmup chunks carry the phase, not the digest.
     warm = [c for c in chunks if c.phase["phase"] == "warmup"]
     assert len(warm) == 2 * (warmup // chunk)

@@ -12,7 +12,7 @@ import pytest
 from repro.core.compiler import compile_model
 from repro.eval import models
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.obslog import ObsEvent
+from repro.telemetry.obslog import ObsEvent, configure_event_log
 
 
 def _chunk(chain=0, start=0, stop=5, info=None, phase=None):
@@ -34,10 +34,27 @@ def _info(divergent=0, n_sweeps=5, step_size=None):
     return {"HMC mu": entry}
 
 
+def _hmc_stream(step_size, draws=50, chunk_size=5):
+    """A one-chain ``HMC mu`` stream on NORMAL_NORMAL with stats on;
+    step size 50 makes every sweep diverge."""
+    rng = np.random.default_rng(0)
+    sampler = compile_model(
+        models.NORMAL_NORMAL,
+        {"N": 20, "mu_0": 0.0, "v_0": 25.0, "v": 1.0},
+        {"y": rng.normal(2.0, 1.0, 20)},
+        schedule=f"HMC[steps=3, step_size={step_size}] mu",
+    )
+    return sampler.stream_chains(
+        1, draws, seed=0, collect_stats=True, chunk_size=chunk_size
+    )
+
+
 def test_ring_is_bounded():
+    stream = _hmc_stream(0.1)
     fr = FlightRecorder("req", capacity=3)
-    for i in range(10):
-        fr.record_chunk(_chunk(start=i * 5, stop=i * 5 + 5, info=_info()))
+    fr.divergence = stream.divergence
+    for chunk in stream:
+        fr.record_chunk(chunk)
     snap = fr.snapshot()
     assert len(snap["entries"]) == 3
     assert snap["entries"][-1]["stop"] == 50
@@ -119,24 +136,40 @@ def test_status_follows_the_request():
     }
 
 
-def test_divergence_trigger_fires_exactly_once():
-    fr = FlightRecorder("req", divergence_warn=0.05)
-    # Below the minimum sweep count nothing fires even at 100% rate.
-    assert fr.record_chunk(_chunk(info=_info(divergent=5, n_sweeps=5))) is False
-    # Crossing 20 sweeps with a high rate fires once...
-    assert fr.record_chunk(_chunk(info=_info(divergent=15, n_sweeps=15))) is True
-    assert fr.divergence.exceeded is True
-    # ...and never again.
-    assert fr.record_chunk(_chunk(info=_info(divergent=5, n_sweeps=5))) is False
-    assert fr.divergence.rate == 1.0
+def _threshold_events(tmp_path, stream, fr):
+    """Follow ``stream`` into ``fr`` with the event log on; the
+    ``divergence.threshold`` events it logged."""
+    sink = tmp_path / "events.jsonl"
+    log = configure_event_log(path=str(sink))
+    try:
+        fr.divergence = stream.divergence
+        for chunk in stream:
+            fr.record_chunk(chunk)
+    finally:
+        log.close()
+    events = [json.loads(line) for line in sink.read_text().splitlines()]
+    return [e for e in events if e["event"] == "divergence.threshold"]
 
 
-def test_clean_run_never_triggers():
+def test_stream_logs_the_crossing_once(tmp_path):
+    # Every sweep diverges: the rate crosses once MIN_SWEEPS sweeps are
+    # in, the stream logs it once, and the record reads it.
     fr = FlightRecorder("req")
-    for i in range(20):
-        assert fr.record_chunk(_chunk(info=_info(divergent=0))) is False
-    assert fr.divergence.exceeded is False
-    assert fr.divergence.rate == 0.0
+    events = _threshold_events(tmp_path, _hmc_stream(50.0), fr)
+    assert len(events) == 1
+    assert (events[0]["level"], events[0]["rate"], events[0]["threshold"]) == (
+        "warning", 1.0, 0.05,
+    )
+    divergence = fr.snapshot()["divergence"]
+    assert divergence["exceeded"] is True and divergence["rate"] == 1.0
+
+
+def test_clean_stream_never_crosses(tmp_path):
+    fr = FlightRecorder("req")
+    assert _threshold_events(tmp_path, _hmc_stream(0.1), fr) == []
+    divergence = fr.snapshot()["divergence"]
+    assert divergence["exceeded"] is False
+    assert divergence["rate"] == 0.0 and divergence["sweeps"] == 50
 
 
 @pytest.mark.parametrize("thin", [1, 2])
@@ -158,6 +191,7 @@ def test_composed_kernel_rate_counts_only_gradient_sweeps(thin):
         1, 40, seed=0, thin=thin, collect_stats=True, chunk_size=10
     )
     fr = FlightRecorder("req")
+    fr.divergence = stream.divergence
     for chunk in stream:
         fr.record_chunk(chunk)
     column = stream.results[0].stats["HMC mu"]["divergent"]

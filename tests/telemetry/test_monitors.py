@@ -142,18 +142,23 @@ def _digest(divergent=None, n_sweeps=5, nan_rejects=0):
 
 
 def test_divergence_tally_threshold():
-    tally = DivergenceTally(warn_rate=0.1)
+    # The threshold is DEFAULT_DIVERGENCE_WARN, 5%: 2 of the first 20
+    # sweeps cross it, and only once MIN_SWEEPS sweeps are in.
+    tally = DivergenceTally()
     fired = [
-        tally.observe({"HMC mu": _digest(divergent=d)}) for d in (1, 1, 1, 2)
+        tally.observe({"HMC mu": _digest(divergent=d)})
+        for d in (1, 1, 0, 0, 0)
     ]
-    assert tally.rate == pytest.approx(0.25)
-    # One crossing, reported once, and only from MIN_SWEEPS sweeps on.
-    assert fired == [False, False, False, True]
+    assert tally.rate == pytest.approx(0.08)
+    # One crossing, reported once.
+    assert fired == [False, False, False, True, False]
     assert tally.exceeded
-    assert "decrease the step size" in tally.warning
-    quiet = DivergenceTally(warn_rate=0.5)
-    quiet.observe({"HMC mu": _digest(divergent=0)})
-    assert quiet.warning is None
+    assert "exceeds 5% -- decrease the step size" in tally.warning
+    quiet = DivergenceTally()
+    for d in (1, 0, 0, 0, 0):
+        assert quiet.observe({"HMC mu": _digest(divergent=d)}) is False
+    assert quiet.rate == pytest.approx(0.04)
+    assert quiet.warning is None and not quiet.exceeded
 
 
 def test_divergence_tally_counts_only_updates_that_can_diverge():
@@ -275,10 +280,10 @@ def test_nan_proposals_warn_and_count_without_stats():
     sampler = mh_mu_sampler(nan_proposal)
     with pytest.warns(RuntimeWarning, match="NaN log-acceptance"):
         sampler.sample(num_samples=30, seed=0)
-    # The counter runs even with collect_stats off: silent NaN
+    # The tally counts with collect_stats off too: silent NaN
     # rejection is a correctness hazard, not a telemetry feature.
     mh = sampler.updates[0]
-    assert mh.stats.nan_rejected > 0.01 * mh.stats.proposed
+    assert mh.tally["nan"] > 0.01 * mh.tally["proposed"]
 
 
 def test_nan_rejects_surface_as_a_stat_column():

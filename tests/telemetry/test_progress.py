@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 
 from repro.core.chains import ChainChunk
+from repro.telemetry.monitors import DivergenceTally
 from repro.telemetry.progress import StreamProgress
 from repro.telemetry.requests import ServiceMetrics
 
@@ -14,13 +15,28 @@ def _chunk(chain, start, stop, info=None):
                       info=info)
 
 
+class _Stream:
+    """What the progress line reads of a ``ChainStream``: its monitor
+    and its divergence tally, which takes each chunk's digest before
+    the chunk is handed on, as the stream's does."""
+
+    def __init__(self, monitor=None):
+        self.monitor = monitor
+        self.divergence = DivergenceTally()
+
+    def follow(self, progress, chunk):
+        self.divergence.observe(chunk.info)
+        progress.update(chunk, self)
+
+
 class TestStreamProgress:
     def test_renders_single_refreshing_line(self):
         out = io.StringIO()
         ticks = iter([0.0, 1.0, 2.0])
         progress = StreamProgress(2, 10, out=out, clock=lambda: next(ticks))
-        progress.update(_chunk(0, 0, 5))
-        progress.update(_chunk(1, 0, 5))
+        stream = _Stream()
+        stream.follow(progress, _chunk(0, 0, 5))
+        stream.follow(progress, _chunk(1, 0, 5))
         progress.close()
         text = out.getvalue()
         assert text.count("\r") == 2  # one refresh per chunk
@@ -33,13 +49,14 @@ class TestStreamProgress:
     def test_info_digest_feeds_the_line(self):
         out = io.StringIO()
         progress = StreamProgress(1, 10, out=out, clock=lambda: 1.0)
-        progress.update(
+        _Stream().follow(
+            progress,
             _chunk(0, 0, 5, info={
                 "HMC theta": {
                     "accept_rate": 0.8, "n_proposed": 5,
-                    "nan_rejects": 2, "divergent": 1,
+                    "nan_rejects": 2, "divergent": 1, "n_sweeps": 5,
                 },
-            })
+            }),
         )
         line = out.getvalue()
         assert "accept 0.80" in line
@@ -53,8 +70,26 @@ class TestStreamProgress:
 
         out = io.StringIO()
         progress = StreamProgress(1, 4, out=out, clock=lambda: 1.0)
-        progress.update(_chunk(0, 0, 2), FakeMonitor())
+        _Stream(FakeMonitor()).follow(progress, _chunk(0, 0, 2))
         assert "R-hat 1.042" in out.getvalue()
+
+    def test_emitted_lines_keep_the_status_line_whole(self):
+        out = io.StringIO()
+        progress = StreamProgress(1, 10, out=out, clock=lambda: 1.0)
+        stream = _Stream()
+        stream.follow(progress, _chunk(0, 0, 5))
+        status = out.getvalue().rsplit("\r", 1)[-1]
+        progress.emit("[monitor] chains 1/1 done")
+        progress.close()
+        # The emitted line overwrites the status line from column 0,
+        # padded over its whole width, and the status line is redrawn
+        # on the next line.
+        rows = out.getvalue().split("\n")
+        assert rows[0].rsplit("\r", 1)[-1] == (
+            "[monitor] chains 1/1 done".ljust(len(status))
+        )
+        assert rows[1] == status
+        assert rows[2] == ""
 
 
 class TestServiceMetrics:

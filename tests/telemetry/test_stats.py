@@ -60,6 +60,42 @@ KERNEL_CASES = [
 ]
 
 
+ELEMENTS = """
+(N, v0, v) => {
+  param mu[n] ~ Normal(0.0, v0) for n <- 0 until N ;
+  data y[n] ~ Normal(mu[n], v) for n <- 0 until N ;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        "Gibbs mu", "HMC mu", "NUTS mu",
+        "MH mu", "MH[batch=off] mu",
+        "Slice mu", "Slice[batch=off] mu",
+        "ESlice mu", "ESlice[batch=off] mu",
+    ],
+)
+def test_acceptance_is_the_stat_columns_weighted_mean(schedule):
+    # Each update keeps one tally: the call's acceptance and its
+    # per-sweep accept_rate column read the same count (for NUTS, the
+    # dual-averaging accept statistic), warmup sweeps included.
+    y = np.random.default_rng(0).normal(1.0, 1.0, size=6)
+    sampler = compile_model(
+        ELEMENTS, {"N": 6, "v0": 4.0, "v": 1.0}, {"y": y}, schedule=schedule
+    )
+    (upd,) = sampler.updates
+    kind = schedule.split()[0]
+    assert upd.is_batched == (kind in ("MH", "Slice", "ESlice"))
+    res = sampler.sample(num_samples=40, warmup=20, seed=7, collect_stats=True)
+    cols = res.stats[upd.label]
+    n = cols["n_proposed"]
+    assert n.sum() > 0
+    weighted = float(np.sum(cols["accept_rate"] * n) / np.sum(n))
+    assert res.acceptance[upd.label] == pytest.approx(weighted, rel=1e-12)
+
+
 @pytest.mark.parametrize("schedule,label,extra", KERNEL_CASES)
 def test_every_base_kernel_reports_typed_stats(schedule, label, extra):
     sampler = gmm_sampler(schedule)
